@@ -2,12 +2,12 @@ package soundboost
 
 import (
 	"fmt"
+	"math"
 
 	"soundboost/internal/dataset"
 	"soundboost/internal/kalman"
 	"soundboost/internal/mathx"
 	"soundboost/internal/parallel"
-	"soundboost/internal/sensors"
 	"soundboost/internal/stats"
 )
 
@@ -96,136 +96,36 @@ type GPSDetector struct {
 	threshold float64
 }
 
-// runFlight produces the error trace of one flight under the detector's KF.
-func (d *GPSDetector) runFlight(f *dataset.Flight) (*GPSTrace, error) {
-	ex, err := NewExtractor(f.Audio, d.model.cfg.Signature)
+// run drives a fresh monitor over a recorded flight's usable windows in
+// order, recording every KF step into trace when it is non-nil. The
+// windows are numbered consecutively, so a skipped window never reads as
+// a stream hole.
+func (d *GPSDetector) run(f *dataset.Flight, trace *GPSTrace) (GPSVerdict, error) {
+	obs, err := flightObservations(d.model, f, 0)
 	if err != nil {
-		return nil, err
+		return GPSVerdict{}, err
 	}
-	win := d.model.cfg.Signature.WindowSeconds
-	hop := d.model.cfg.Signature.HopSeconds
-	starts := ex.WindowStarts(win)
-	if len(starts) == 0 {
-		return nil, fmt.Errorf("soundboost: flight too short for GPS RCA")
+	if len(obs) == 0 {
+		return GPSVerdict{}, fmt.Errorf("soundboost: no usable windows for GPS RCA")
 	}
-
 	// Initial velocity from the first GPS fix (pre-attack per threat model).
-	v0 := mathx.Vec3{}
+	var v0 mathx.Vec3
 	if len(f.Telemetry) > 0 {
 		v0 = f.Telemetry[0].GPSVel
 	}
-	est, err := kalman.NewVelocityEstimator(d.cfg.Velocity, v0)
+	m, err := d.NewMonitor(v0)
 	if err != nil {
-		return nil, err
+		return GPSVerdict{}, err
 	}
-	monitor := stats.RunningMean{Alpha: d.cfg.ErrorAlpha}
-	trace := &GPSTrace{}
-	pos := mathx.Vec3{}
-	if len(f.Telemetry) > 0 {
-		pos = f.Telemetry[0].GPSPos
-	}
-	gravity := mathx.Vec3{Z: sensors.Gravity}
-
-	// Per-window NED acceleration streams and aligned GPS velocities.
-	type windowObs struct {
-		t        float64
-		audioNED mathx.Vec3
-		imuNED   mathx.Vec3
-		gpsVel   mathx.Vec3
-	}
-	// Observation building (feature extraction + prediction per window) is
-	// embarrassingly parallel; only the KF recursion below is sequential.
-	// Results keep window order, so the trace matches the serial loop.
-	perWindow := parallel.Map(0, len(starts), func(i int) *windowObs {
-		t0 := starts[i]
-		feat := windowFeatures(ex, f, t0, win)
-		if feat == nil {
-			return nil
-		}
-		tel := f.TelemetryBetween(t0, t0+win)
-		if len(tel) == 0 {
-			return nil
-		}
-		// Mean attitude/IMU/GPS over the window.
-		att := tel[len(tel)/2].EstAtt
-		var imuSum mathx.Vec3
-		for _, s := range tel {
-			imuSum = imuSum.Add(s.IMUAccel)
-		}
-		imuBody := imuSum.Scale(1 / float64(len(tel)))
-		predBody := d.model.Predict(feat)
-		// Window-mean GPS velocity: the fused estimate integrates
-		// window-mean accelerations, so the reference must share its
-		// timebase or turns read as spurious error.
-		var gpsSum mathx.Vec3
-		for _, s := range tel {
-			gpsSum = gpsSum.Add(s.GPSVel)
-		}
-		return &windowObs{
-			t:        t0 + win,
-			audioNED: att.Rotate(predBody).Add(gravity),
-			imuNED:   att.Rotate(imuBody).Add(gravity),
-			gpsVel:   gpsSum.Scale(1 / float64(len(tel))),
-		}
-	})
-	var obs []windowObs
-	for _, o := range perWindow {
-		if o != nil {
-			obs = append(obs, *o)
-		}
-	}
-	if len(obs) == 0 {
-		return nil, fmt.Errorf("soundboost: no usable windows for GPS RCA")
-	}
-
-	// Alignment phase (attacks begin after take-off): estimate the
-	// constant acceleration bias of each stream against GPS velocity
-	// deltas over the opening seconds, then remove it.
-	var audioBias, imuBias mathx.Vec3
-	alignN := 0
-	if d.cfg.AlignSeconds > 0 {
-		t0 := obs[0].t
-		var audioInt, imuInt mathx.Vec3
-		for i, o := range obs {
-			if o.t-t0 > d.cfg.AlignSeconds {
-				break
-			}
-			audioInt = audioInt.Add(o.audioNED.Scale(hop))
-			imuInt = imuInt.Add(o.imuNED.Scale(hop))
-			alignN = i + 1
-		}
-		if alignN > 1 {
-			alignT := float64(alignN) * hop
-			dv := obs[alignN-1].gpsVel.Sub(obs[0].gpsVel)
-			audioBias = audioInt.Sub(dv).Scale(1 / alignT)
-			imuBias = imuInt.Sub(dv).Scale(1 / alignT)
-		}
-	}
-
+	m.trace = trace
 	for i, o := range obs {
-		if d.cfg.BiasTauSeconds > 0 && i >= 1 && i >= alignN {
-			// Slow bias tracking against the GPS velocity derivative.
-			gpsAccel := o.gpsVel.Sub(obs[i-1].gpsVel).Scale(1 / hop)
-			alpha := hop / d.cfg.BiasTauSeconds
-			audioBias = audioBias.Add(o.audioNED.Sub(gpsAccel).Sub(audioBias).Scale(alpha))
-			imuBias = imuBias.Add(o.imuNED.Sub(gpsAccel).Sub(imuBias).Scale(alpha))
-		}
-		if err := est.Step(o.audioNED.Sub(audioBias), o.imuNED.Sub(imuBias), hop); err != nil {
-			return nil, err
-		}
-		fused := est.Velocity()
-		pos = pos.Add(fused.Scale(hop))
-		var running float64
-		if i >= alignN {
-			running = monitor.Add(fused.Sub(o.gpsVel).Norm())
-		}
-		trace.Time = append(trace.Time, o.t)
-		trace.FusedVel = append(trace.FusedVel, fused)
-		trace.GPSVel = append(trace.GPSVel, o.gpsVel)
-		trace.FusedPos = append(trace.FusedPos, pos)
-		trace.RunningError = append(trace.RunningError, running)
+		m.Add(i, o)
 	}
-	return trace, nil
+	v, err := m.Finish()
+	if err != nil {
+		return GPSVerdict{}, err
+	}
+	return v, nil
 }
 
 // NewGPSDetector calibrates the detection threshold on benign flights:
@@ -241,15 +141,14 @@ func NewGPSDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg G
 	if cfg.PeakQuantile <= 0 || cfg.PeakQuantile > 1 {
 		cfg.PeakQuantile = 0.75
 	}
-	d := &GPSDetector{cfg: cfg, model: model}
+	// Until the threshold is set the monitors never alarm, so each
+	// verdict's PeakError is the flight's peak running-mean error.
+	d := &GPSDetector{cfg: cfg, model: model, threshold: math.Inf(1)}
 	span := gpsCalibTimer.Start()
 	defer span.Stop()
 	peaks, err := parallel.MapErr(0, len(benignFlights), func(i int) (float64, error) {
-		trace, err := d.runFlight(benignFlights[i])
-		if err != nil {
-			return 0, err
-		}
-		return stats.Max(trace.RunningError), nil
+		v, err := d.run(benignFlights[i], nil)
+		return v.PeakError, err
 	})
 	if err != nil {
 		return nil, err
@@ -283,10 +182,6 @@ func (d *GPSDetector) WithMargin(margin float64) (*GPSDetector, error) {
 	return &d2, nil
 }
 
-// Config returns the detector's configuration (after calibration-time
-// normalisation). The streaming engine mirrors the batch detector from it.
-func (d *GPSDetector) Config() GPSDetectorConfig { return d.cfg }
-
 // Mode returns the detector's KF mode.
 func (d *GPSDetector) Mode() kalman.Mode { return d.cfg.Mode }
 
@@ -294,24 +189,204 @@ func (d *GPSDetector) Mode() kalman.Mode { return d.cfg.Mode }
 func (d *GPSDetector) Detect(f *dataset.Flight) (GPSVerdict, error) {
 	span := gpsDetectTimer.Start()
 	defer span.Stop()
-	trace, err := d.runFlight(f)
-	if err != nil {
-		return GPSVerdict{}, err
-	}
-	v := GPSVerdict{Threshold: d.threshold}
-	for i, e := range trace.RunningError {
-		if e > v.PeakError {
-			v.PeakError = e
-		}
-		if e > d.threshold && !v.Attacked {
-			v.Attacked = true
-			v.DetectionTime = trace.Time[i]
-		}
-	}
-	return v, nil
+	return d.run(f, nil)
 }
 
-// Trace exposes the full diagnostic series (Fig. 7).
+// Trace exposes the full diagnostic series (Fig. 7): the steps of the
+// same monitor Detect drives, with the fused velocity integrated from
+// the first GPS position.
 func (d *GPSDetector) Trace(f *dataset.Flight) (*GPSTrace, error) {
-	return d.runFlight(f)
+	trace := &GPSTrace{}
+	if _, err := d.run(f, trace); err != nil {
+		return nil, err
+	}
+	var pos mathx.Vec3
+	if len(f.Telemetry) > 0 {
+		pos = f.Telemetry[0].GPSPos
+	}
+	hop := d.model.cfg.Signature.HopSeconds
+	trace.FusedPos = make([]mathx.Vec3, len(trace.FusedVel))
+	for i, v := range trace.FusedVel {
+		pos = pos.Add(v.Scale(hop))
+		trace.FusedPos[i] = pos
+	}
+	return trace, nil
+}
+
+// GPSMonitor is the GPS stage's detector. Fed one window observation at
+// a time, it estimates the constant acceleration biases over the
+// alignment phase, then steps the Kalman velocity fusion, the slow bias
+// tracker and the running-mean error monitor, raising the alarm when the
+// running error first crosses the threshold. Detect and Trace drive it
+// over a recorded flight; the streaming engine drives it live.
+//
+// Observations carry a window index. A gap in the indices (a window the
+// caller had to skip) ends the current analysis segment: the error
+// monitor is calibrated on contiguous windows, so the next contiguous
+// run starts a fresh alignment phase with the KF re-anchored at its
+// first GPS velocity, and the verdict accumulates across segments.
+type GPSMonitor struct {
+	d   *GPSDetector
+	hop float64
+
+	// Per-segment recursion state (see startSegment).
+	est        *kalman.VelocityEstimator
+	mean       stats.RunningMean
+	aligned    bool
+	buf        []WindowObs
+	alignN     int
+	audioBias  mathx.Vec3
+	imuBias    mathx.Vec3
+	idx        int
+	prevGPSVel mathx.Vec3
+
+	lastWin int
+	verdict GPSVerdict
+	err     error
+	// trace, when non-nil, records every KF step for Trace.
+	trace *GPSTrace
+}
+
+// NewMonitor returns a monitor at the start of a flight, its KF seeded
+// with the first GPS velocity fix v0 (pre-attack per the threat model).
+func (d *GPSDetector) NewMonitor(v0 mathx.Vec3) (*GPSMonitor, error) {
+	m := &GPSMonitor{
+		d:       d,
+		hop:     d.model.cfg.Signature.HopSeconds,
+		lastWin: -1,
+		verdict: GPSVerdict{Threshold: d.threshold},
+	}
+	if err := m.startSegment(v0); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// startSegment resets the recursion for a new analysis segment anchored
+// at GPS velocity v0.
+func (m *GPSMonitor) startSegment(v0 mathx.Vec3) error {
+	est, err := kalman.NewVelocityEstimator(m.d.cfg.Velocity, v0)
+	if err != nil {
+		return err
+	}
+	m.est = est
+	m.mean = stats.RunningMean{Alpha: m.d.cfg.ErrorAlpha}
+	m.aligned = m.d.cfg.AlignSeconds <= 0
+	m.buf, m.alignN, m.idx = nil, 0, 0
+	m.audioBias, m.imuBias, m.prevGPSVel = mathx.Vec3{}, mathx.Vec3{}, mathx.Vec3{}
+	return nil
+}
+
+// Add feeds window winIdx's observation; windows must arrive in index
+// order and ones without a GPS fix are ignored. Observations inside the
+// alignment phase are buffered and stepped once the phase ends.
+func (m *GPSMonitor) Add(winIdx int, o WindowObs) {
+	if m.err != nil || !o.hasGPS {
+		return
+	}
+	if m.lastWin >= 0 && winIdx > m.lastWin+1 {
+		// Close the interrupted segment (a partial alignment phase
+		// still steps, with monitoring off) and start the next.
+		m.finishAlign()
+		if m.err != nil {
+			return
+		}
+		gpsSegments.Inc()
+		if m.err = m.startSegment(o.gpsVel); m.err != nil {
+			return
+		}
+	}
+	m.lastWin = winIdx
+	if !m.aligned {
+		if len(m.buf) == 0 || o.end-m.buf[0].end <= m.d.cfg.AlignSeconds {
+			m.buf = append(m.buf, o)
+			return
+		}
+		// o is the first observation past the alignment horizon.
+		m.finishAlign()
+	}
+	m.step(o)
+}
+
+// finishAlign ends a pending alignment phase (attacks begin after
+// take-off, so the opening seconds are trustworthy): it estimates the
+// constant acceleration bias of each stream against the GPS velocity
+// delta over the buffered observations, removes it, and steps the
+// buffer through the KF with the error monitor off.
+func (m *GPSMonitor) finishAlign() {
+	if m.aligned {
+		return
+	}
+	m.aligned = true
+	m.alignN = len(m.buf)
+	if m.alignN > 1 {
+		var audioInt, imuInt mathx.Vec3
+		for _, o := range m.buf {
+			audioInt = audioInt.Add(o.audioNED.Scale(m.hop))
+			imuInt = imuInt.Add(o.imuNED.Scale(m.hop))
+		}
+		alignT := float64(m.alignN) * m.hop
+		dv := m.buf[m.alignN-1].gpsVel.Sub(m.buf[0].gpsVel)
+		m.audioBias = audioInt.Sub(dv).Scale(1 / alignT)
+		m.imuBias = imuInt.Sub(dv).Scale(1 / alignT)
+	}
+	for _, o := range m.buf {
+		m.step(o)
+	}
+	m.buf = nil
+}
+
+// step advances the bias tracker, the KF and (past alignment) the error
+// monitor by one observation.
+func (m *GPSMonitor) step(o WindowObs) {
+	if m.err != nil {
+		return
+	}
+	i := m.idx
+	if m.d.cfg.BiasTauSeconds > 0 && i >= 1 && i >= m.alignN {
+		// Slow bias tracking against the GPS velocity derivative.
+		gpsAccel := o.gpsVel.Sub(m.prevGPSVel).Scale(1 / m.hop)
+		alpha := m.hop / m.d.cfg.BiasTauSeconds
+		m.audioBias = m.audioBias.Add(o.audioNED.Sub(gpsAccel).Sub(m.audioBias).Scale(alpha))
+		m.imuBias = m.imuBias.Add(o.imuNED.Sub(gpsAccel).Sub(m.imuBias).Scale(alpha))
+	}
+	if m.err = m.est.Step(o.audioNED.Sub(m.audioBias), o.imuNED.Sub(m.imuBias), m.hop); m.err != nil {
+		return
+	}
+	fused := m.est.Velocity()
+	var running float64
+	if i >= m.alignN {
+		running = m.mean.Add(fused.Sub(o.gpsVel).Norm())
+		if running > m.verdict.PeakError {
+			m.verdict.PeakError = running
+		}
+		if running > m.verdict.Threshold && !m.verdict.Attacked {
+			m.verdict.Attacked = true
+			m.verdict.DetectionTime = o.end
+		}
+	}
+	if m.trace != nil {
+		m.trace.Time = append(m.trace.Time, o.end)
+		m.trace.FusedVel = append(m.trace.FusedVel, fused)
+		m.trace.GPSVel = append(m.trace.GPSVel, o.gpsVel)
+		m.trace.RunningError = append(m.trace.RunningError, running)
+	}
+	m.prevGPSVel = o.gpsVel
+	m.idx++
+}
+
+// Verdict returns the verdict so far, without closing a pending
+// alignment phase.
+func (m *GPSMonitor) Verdict() GPSVerdict { return m.verdict }
+
+// RunningError returns the current running-mean velocity error (0 while
+// aligning).
+func (m *GPSMonitor) RunningError() float64 { return m.mean.Mean() }
+
+// Finish closes a flight that ended inside the alignment phase (its
+// windows still step the KF, with monitoring off) and returns the final
+// verdict with any KF error.
+func (m *GPSMonitor) Finish() (GPSVerdict, error) {
+	m.finishAlign()
+	return m.verdict, m.err
 }

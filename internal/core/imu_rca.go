@@ -2,6 +2,7 @@ package soundboost
 
 import (
 	"fmt"
+	"math"
 
 	"soundboost/internal/dataset"
 	"soundboost/internal/parallel"
@@ -59,100 +60,6 @@ type IMUDetector struct {
 	stdThreshold float64
 }
 
-// windowResiduals computes per-IMU-sample prediction residuals for every
-// signature window of a flight; the per-window outputs preserve timing.
-type windowResiduals struct {
-	Start float64
-	Vals  []float64
-}
-
-func flightResiduals(model *AcousticModel, f *dataset.Flight) ([]windowResiduals, error) {
-	return flightResidualsStream(model, f, 0)
-}
-
-// flightResidualsStream computes residuals against the selected IMU
-// stream (0 = primary, k > 0 = redundant unit k-1).
-func flightResidualsStream(model *AcousticModel, f *dataset.Flight, stream int) ([]windowResiduals, error) {
-	ex, err := NewExtractor(f.Audio, model.cfg.Signature)
-	if err != nil {
-		return nil, err
-	}
-	accelZ := func(s dataset.TelemetrySample) (float64, bool) {
-		if stream == 0 {
-			return s.IMUAccel.Z, true
-		}
-		if stream-1 < len(s.AuxIMUAccel) {
-			return s.AuxIMUAccel[stream-1].Z, true
-		}
-		return 0, false
-	}
-	win := model.cfg.Signature.WindowSeconds
-	// Per-window extraction and prediction fan out across the worker pool;
-	// results stay in window order, so the output matches the serial loop.
-	starts := ex.WindowStarts(win)
-	perWindow := parallel.Map(0, len(starts), func(i int) *windowResiduals {
-		t0 := starts[i]
-		feat := windowFeatures(ex, f, t0, win)
-		if feat == nil {
-			return nil
-		}
-		pred := model.Predict(feat)
-		tel := f.TelemetryBetween(t0, t0+win)
-		if len(tel) == 0 {
-			return nil
-		}
-		// z-axis (downward) residuals only: the thrust axis is the one the
-		// acoustic channel predicts in every flight regime, and it is the
-		// axis the paper's IMU attacks tamper with (Fig. 6). Horizontal
-		// residuals shift with airspeed-dependent drag and would alias
-		// aggressive-but-benign maneuvers into attacks.
-		wr := &windowResiduals{Start: t0, Vals: make([]float64, 0, len(tel))}
-		for _, s := range tel {
-			if z, ok := accelZ(s); ok {
-				wr.Vals = append(wr.Vals, pred.Z-z)
-			}
-		}
-		if len(wr.Vals) == 0 {
-			return nil
-		}
-		return wr
-	})
-	var out []windowResiduals
-	for _, wr := range perWindow {
-		if wr != nil {
-			out = append(out, *wr)
-		}
-	}
-	return out, nil
-}
-
-// periodStats slides the pooling period over a flight's window residuals
-// and returns the KS statistic, residual standard deviation, and end time
-// of each period.
-func (d *IMUDetector) periodStats(rs []windowResiduals) (stat, std, endTime []float64) {
-	k := d.cfg.PeriodWindows
-	if k < 1 {
-		k = 1
-	}
-	for i := 0; i+k <= len(rs); i++ {
-		var pool []float64
-		for j := i; j < i+k; j++ {
-			pool = append(pool, rs[j].Vals...)
-		}
-		if len(pool) < d.cfg.MinResiduals {
-			continue
-		}
-		res, err := stats.KSTestNormal(pool, d.benign)
-		if err != nil {
-			continue
-		}
-		stat = append(stat, res.Statistic)
-		std = append(std, stats.StdDev(pool))
-		endTime = append(endTime, rs[i+k-1].Start+d.model.cfg.Signature.WindowSeconds)
-	}
-	return stat, std, endTime
-}
-
 // NewIMUDetector calibrates the benign residual distribution and the
 // benign per-period KS-statistic ceiling from benign flights. The benign
 // set should span the mission diversity expected at analysis time.
@@ -165,29 +72,34 @@ func NewIMUDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg I
 	}
 	span := imuCalibTimer.Start()
 	defer span.Stop()
-	perFlight, err := parallel.MapErr(0, len(benignFlights), func(i int) ([]windowResiduals, error) {
-		return flightResidualsStream(model, benignFlights[i], cfg.Stream)
+	perFlight, err := parallel.MapErr(0, len(benignFlights), func(i int) ([]WindowObs, error) {
+		return flightObservations(model, benignFlights[i], cfg.Stream)
 	})
 	if err != nil {
 		return nil, err
 	}
 	var pool []float64
-	for _, rs := range perFlight {
-		for _, wr := range rs {
-			pool = append(pool, wr.Vals...)
+	for _, obs := range perFlight {
+		for _, o := range obs {
+			pool = append(pool, o.residuals...)
 		}
 	}
 	benign, err := stats.FitNormal(pool)
 	if err != nil {
 		return nil, fmt.Errorf("soundboost: fit benign residuals: %w", err)
 	}
-	d := &IMUDetector{cfg: cfg, model: model, benign: benign}
-
+	// The thresholds come from the periods the monitor tests; until they
+	// are set, it never alarms.
+	d := &IMUDetector{cfg: cfg, model: model, benign: benign, statThreshold: math.Inf(1), stdThreshold: math.Inf(1)}
 	var ksStats, stds []float64
-	for _, rs := range perFlight {
-		s, sd, _ := d.periodStats(rs)
-		ksStats = append(ksStats, s...)
-		stds = append(stds, sd...)
+	for _, obs := range perFlight {
+		m := d.NewMonitor()
+		for _, o := range obs {
+			if stat, std, ok := m.Add(o); ok {
+				ksStats = append(ksStats, stat)
+				stds = append(stds, std)
+			}
+		}
 	}
 	if len(ksStats) == 0 {
 		return nil, fmt.Errorf("soundboost: no benign periods for KS calibration")
@@ -201,7 +113,7 @@ func NewIMUDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg I
 func (d *IMUDetector) BenignDistribution() stats.Normal { return d.benign }
 
 // Config returns the detector's configuration (after calibration-time
-// normalisation). The streaming engine mirrors the batch detector from it.
+// normalisation).
 func (d *IMUDetector) Config() IMUDetectorConfig { return d.cfg }
 
 // StatThreshold returns the calibrated per-period KS-statistic ceiling.
@@ -225,60 +137,115 @@ type IMUVerdict struct {
 	AttackStd float64
 }
 
-// Detect runs the IMU RCA stage over a flight.
+// Detect runs the IMU RCA stage over a flight: it observes every usable
+// window and drives one monitor over them in window order.
 func (d *IMUDetector) Detect(f *dataset.Flight) (IMUVerdict, error) {
 	span := imuDetectTimer.Start()
 	defer span.Stop()
-	rs, err := flightResidualsStream(d.model, f, d.cfg.Stream)
+	obs, err := flightObservations(d.model, f, d.cfg.Stream)
 	if err != nil {
 		return IMUVerdict{}, err
 	}
-	statSeries, stdSeries, endTimes := d.periodStats(rs)
-	var verdict IMUVerdict
-	consecutive := 0
-	verdict.WindowsTested = len(statSeries)
-	rejected := make([]bool, len(statSeries))
-	for i := range statSeries {
-		if statSeries[i] > d.statThreshold || stdSeries[i] > d.stdThreshold {
-			rejected[i] = true
-			verdict.WindowsRejected++
-			consecutive++
-			if consecutive >= d.cfg.DetectPeriods && !verdict.Attacked {
-				verdict.Attacked = true
-				verdict.DetectionTime = endTimes[i]
-			}
-		} else {
-			consecutive = 0
-		}
+	m := d.NewMonitor()
+	for _, o := range obs {
+		m.Add(o)
 	}
-	if verdict.Attacked {
-		// Residual spread over the rejected span (Fig. 6's widened sigma).
-		var rejectedVals []float64
-		k := d.cfg.PeriodWindows
-		for i, r := range rejected {
-			if r && i+k <= len(rs) {
-				for j := i; j < i+k; j++ {
-					rejectedVals = append(rejectedVals, rs[j].Vals...)
-				}
-			}
-		}
-		if len(rejectedVals) > 1 {
-			verdict.AttackStd = stats.StdDev(rejectedVals)
-		}
+	return m.Finish(), nil
+}
+
+// maxRejectedVals bounds the residual pool an IMU monitor retains for the
+// AttackStd estimate on an endless attacked stream; past it the spread
+// estimate freezes on the first samples rather than growing without
+// bound.
+const maxRejectedVals = 1 << 20
+
+// IMUMonitor is the IMU stage's detector. Fed one window observation at
+// a time, it pools the residuals of the last PeriodWindows windows into
+// one KS-test period per window, applies the calibrated statistic and
+// sigma thresholds, and raises the alarm after DetectPeriods consecutive
+// rejected periods. Detect drives it over a recorded flight; the
+// streaming engine drives it live.
+type IMUMonitor struct {
+	d           *IMUDetector
+	period      int
+	ring        [][]float64
+	consecutive int
+	verdict     IMUVerdict
+	// rejectedVals pools the residuals of rejected periods (overlapping
+	// periods contribute their shared windows again) for AttackStd.
+	rejectedVals []float64
+}
+
+// NewMonitor returns a monitor at the start of a flight.
+func (d *IMUDetector) NewMonitor() *IMUMonitor {
+	return &IMUMonitor{d: d, period: max(d.cfg.PeriodWindows, 1)}
+}
+
+// Add feeds the next window. When the window completes a testable
+// period it returns that period's KS statistic and residual standard
+// deviation with ok true. A period with too few residuals, or one the KS
+// test rejects as input, yields ok false and leaves the run of
+// consecutive rejected periods as it was.
+func (m *IMUMonitor) Add(o WindowObs) (stat, std float64, ok bool) {
+	m.ring = append(m.ring, o.residuals)
+	if len(m.ring) > m.period {
+		m.ring = m.ring[1:]
 	}
-	return verdict, nil
+	if len(m.ring) < m.period {
+		return 0, 0, false
+	}
+	var pool []float64
+	for _, vals := range m.ring {
+		pool = append(pool, vals...)
+	}
+	if len(pool) < m.d.cfg.MinResiduals {
+		return 0, 0, false
+	}
+	res, err := stats.KSTestNormal(pool, m.d.benign)
+	if err != nil {
+		return 0, 0, false
+	}
+	std = stats.StdDev(pool)
+	m.verdict.WindowsTested++
+	if res.Statistic > m.d.statThreshold || std > m.d.stdThreshold {
+		m.verdict.WindowsRejected++
+		m.consecutive++
+		if len(m.rejectedVals) < maxRejectedVals {
+			m.rejectedVals = append(m.rejectedVals, pool...)
+		}
+		if m.consecutive >= m.d.cfg.DetectPeriods && !m.verdict.Attacked {
+			m.verdict.Attacked = true
+			m.verdict.DetectionTime = o.end
+		}
+	} else {
+		m.consecutive = 0
+	}
+	return res.Statistic, std, true
+}
+
+// Verdict returns the verdict so far. AttackStd stays 0 until Finish.
+func (m *IMUMonitor) Verdict() IMUVerdict { return m.verdict }
+
+// Finish returns the final verdict, with the residual spread over the
+// rejected periods (Fig. 6's widened sigma) when attacked.
+func (m *IMUMonitor) Finish() IMUVerdict {
+	v := m.verdict
+	if v.Attacked && len(m.rejectedVals) > 1 {
+		v.AttackStd = stats.StdDev(m.rejectedVals)
+	}
+	return v
 }
 
 // ResidualHistogram builds the Fig. 6 residual histogram (z-axis residuals
 // pooled over the whole flight).
 func (d *IMUDetector) ResidualHistogram(f *dataset.Flight, lo, hi float64, bins int) (*stats.Histogram, error) {
-	rs, err := flightResiduals(d.model, f)
+	obs, err := flightObservations(d.model, f, 0)
 	if err != nil {
 		return nil, err
 	}
 	h := stats.NewHistogram(lo, hi, bins)
-	for _, wr := range rs {
-		for _, v := range wr.Vals {
+	for _, o := range obs {
+		for _, v := range o.residuals {
 			h.Add(v)
 		}
 	}

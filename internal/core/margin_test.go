@@ -24,8 +24,8 @@ func TestGPSDetectorWithMargin(t *testing.T) {
 		if got, want := d2.Threshold(), base*margin; math.Abs(got-want) > 1e-15 {
 			t.Errorf("WithMargin(%g): threshold %g, want %g", margin, got, want)
 		}
-		if d2.Config().ThresholdMargin != margin {
-			t.Errorf("WithMargin(%g): cfg margin %g", margin, d2.Config().ThresholdMargin)
+		if d2.cfg.ThresholdMargin != margin {
+			t.Errorf("WithMargin(%g): cfg margin %g", margin, d2.cfg.ThresholdMargin)
 		}
 		if d2.Mode() != d.Mode() {
 			t.Errorf("WithMargin(%g): mode changed to %q", margin, d2.Mode())
@@ -64,7 +64,7 @@ func TestAnalyzerWithGPSMargin(t *testing.T) {
 	if derived.GPSAudioOnly != a.GPSAudioOnly {
 		t.Error("audio-only detector should be shared, not copied")
 	}
-	if a.GPSAudioIMU.Config().ThresholdMargin != 1.1 {
+	if a.GPSAudioIMU.cfg.ThresholdMargin != 1.1 {
 		t.Error("receiver's audio+imu detector mutated")
 	}
 	if _, err := a.WithGPSMargin(kalman.Mode("imu-only"), 1.2); err == nil {

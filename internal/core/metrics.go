@@ -14,6 +14,8 @@ import "soundboost/internal/obs"
 //   - core.rca.imu.detect / core.rca.gps.detect fire once per flight
 //     per stage; core.rca.analyze wraps the full two-stage RCA.
 //   - core.calibrate.* time the one-off detector calibrations.
+//   - core.rca.gps.segments counts GPS analysis segments restarted
+//     across a hole in a monitor's window indices (streams only).
 var (
 	extractFilterTimer = obs.Default.Timer("core.extract.filter")
 	windowTimer        = obs.Default.Timer("core.signature.window")
@@ -27,6 +29,7 @@ var (
 	analyzerCalibTimer = obs.Default.Timer("core.calibrate.analyzer")
 	reportsIMU         = obs.Default.Counter("core.rca.reports_imu")
 	reportsGPS         = obs.Default.Counter("core.rca.reports_gps")
+	gpsSegments        = obs.Default.Counter("core.rca.gps.segments")
 	// core.triage.* cover the screening tier's batch adapter: train fires
 	// once per TrainTriage, screen once per screened flight, and fastpath
 	// counts flights that short-circuited with the cheap benign verdict.

@@ -340,6 +340,12 @@ func (g *Gateway) probeLoop() {
 		}
 		for name, rep := range g.replicas {
 			err := g.probe(rep)
+			if g.probeCtx.Err() != nil {
+				// Shutdown cancelled the probe: that is no observation of
+				// the replica, and a spurious "down" would evacuate its
+				// sessions in the middle of the drain.
+				return
+			}
 			transitioned, up := g.health.Observe(name, err)
 			if !transitioned {
 				continue

@@ -538,6 +538,7 @@ func TestProbeShutdownCancelsInflight(t *testing.T) {
 	g, err := New(Config{
 		Replicas:      []Replica{{Name: "r1", BaseURL: ts.URL}},
 		ProbeInterval: 10 * time.Millisecond,
+		DownAfter:     1,
 		Retries:       1,
 		RetryBase:     time.Millisecond,
 		Logf:          t.Logf,
@@ -558,5 +559,10 @@ func TestProbeShutdownCancelsInflight(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Errorf("shutdown took %v: the in-flight probe was waited out, not cancelled", elapsed)
+	}
+	// The cancelled probe says nothing about the replica: counting it as
+	// a failure would mark r1 down and evacuate its sessions mid-drain.
+	if !g.health.Up("r1") {
+		t.Error("the probe Shutdown cancelled marked the replica down")
 	}
 }

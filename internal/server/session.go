@@ -47,6 +47,12 @@ type session struct {
 	// and the write-ahead journal see chunks in one total order.
 	pubMu sync.Mutex
 
+	// metaMu orders journal meta writes: every write snapshots and
+	// persists under it, and the terminal transition persists and then
+	// publishes under it, so a concurrent checkpoint can never overwrite
+	// the terminal meta with an older state.
+	metaMu sync.Mutex
+
 	mu        sync.Mutex
 	state     string
 	lastTouch time.Time
@@ -66,28 +72,33 @@ func (s *session) run() {
 		if p := recover(); p != nil {
 			sessionsPanicked.Inc()
 			cause := fmt.Sprintf("engine panic: %v", p)
-			s.mu.Lock()
-			s.state = api.SessionFailed
-			s.failCause = cause
-			s.runErr = fmt.Errorf("%w: %s", faults.ErrSessionFailed, cause)
-			s.mu.Unlock()
+			s.finish(api.SessionFailed, cause, soundboost.Report{}, fmt.Errorf("%w: %s", faults.ErrSessionFailed, cause))
 			// The engine goroutine is gone; close the bus so publishers
 			// get ErrBusClosed instead of filling a dead queue. Keep the
 			// stack out of the HTTP response but not out of the log.
 			s.bus.Close()
 			close(s.done)
-			s.persistMeta()
 			s.logf("session %s failed: %s\n%s", s.id, cause, debug.Stack())
 		}
 	}()
 	report, err := s.eng.Run(context.Background())
-	s.mu.Lock()
-	s.report = report
-	s.runErr = err
-	s.state = api.SessionDone
-	s.mu.Unlock()
+	s.finish(api.SessionDone, "", report, err)
 	close(s.done)
-	s.persistMeta()
+}
+
+// finish moves the session into its terminal state durably first: the
+// terminal meta (with the report) is built from the given values and
+// written before any client can observe the state or read the report.
+// Only then is the state published; the caller closes done after.
+func (s *session) finish(state, failCause string, report soundboost.Report, runErr error) {
+	s.metaMu.Lock()
+	defer s.metaMu.Unlock()
+	if s.sj != nil {
+		s.writeMeta(state, failCause, report, runErr)
+	}
+	s.mu.Lock()
+	s.state, s.failCause, s.report, s.runErr = state, failCause, report, runErr
+	s.mu.Unlock()
 }
 
 // persistMeta snapshots the session into its journal (no-op when
@@ -97,19 +108,30 @@ func (s *session) persistMeta() {
 	if s.sj == nil {
 		return
 	}
+	s.metaMu.Lock()
+	defer s.metaMu.Unlock()
+	s.mu.Lock()
+	state, failCause, report, runErr := s.state, s.failCause, s.report, s.runErr
+	s.mu.Unlock()
+	s.writeMeta(state, failCause, report, runErr)
+}
+
+// writeMeta persists one meta snapshot of the session in the given
+// state; the caller holds metaMu.
+func (s *session) writeMeta(state, failCause string, report soundboost.Report, runErr error) {
 	s.mu.Lock()
 	meta := journal.Meta{
 		ID:        s.id,
 		Req:       s.req,
-		State:     s.state,
+		State:     state,
 		LastSeq:   s.lastSeq,
-		FailCause: s.failCause,
-	}
-	if s.state == api.SessionDone && s.runErr == nil {
-		r := api.ReportFromCore(s.report)
-		meta.Report = &r
+		FailCause: failCause,
 	}
 	s.mu.Unlock()
+	if state == api.SessionDone && runErr == nil {
+		r := api.ReportFromCore(report)
+		meta.Report = &r
+	}
 	if s.eng != nil {
 		meta.Engine = api.EngineStatusFromStream(s.eng.Status())
 	}

@@ -147,9 +147,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 // IMUSensor exposes the primary IMU for attack installation.
 func (w *World) IMUSensor() *sensors.IMU { return w.imu }
 
-// AuxIMUSensors exposes the redundant IMUs.
-func (w *World) AuxIMUSensors() []*sensors.IMU { return w.auxIMU }
-
 // GPSSensor exposes the GPS for attack installation.
 func (w *World) GPSSensor() *sensors.GPS { return w.gps }
 

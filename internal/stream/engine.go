@@ -14,7 +14,6 @@ import (
 	"soundboost/internal/kalman"
 	"soundboost/internal/mathx"
 	"soundboost/internal/mavbus"
-	"soundboost/internal/sensors"
 	"soundboost/internal/triage"
 )
 
@@ -79,7 +78,7 @@ type Status struct {
 // missed (the bus does not replay into live subscriptions).
 type Engine struct {
 	an   *soundboost.Analyzer
-	cfg  Config
+	cfg  config
 	sig  soundboost.SignatureConfig
 	rate float64
 
@@ -122,10 +121,11 @@ type Engine struct {
 	triFullWin   int
 	triEscalated bool
 
-	imuMon  *imuMonitor
-	gpsAO   *gpsMonitor // audio-only KF, trusted when the IMU is flagged
-	gpsAI   *gpsMonitor // audio+IMU KF, trusted otherwise
-	gravity mathx.Vec3
+	// The detector monitors the batch pipeline runs, driven window by
+	// window. The GPS monitors exist from the first finite GPS fix on.
+	imuMon *soundboost.IMUMonitor
+	gpsAO  *soundboost.GPSMonitor // audio-only KF, trusted when the IMU is flagged
+	gpsAI  *soundboost.GPSMonitor // audio+IMU KF, trusted otherwise
 
 	err error
 
@@ -146,14 +146,14 @@ var ErrNotAttached = faults.ErrEngineDetached
 //		stream.WithLagHorizon(5),
 //		stream.WithFlightName("incident-17"))
 func New(an *soundboost.Analyzer, sampleRate float64, opts ...Option) (*Engine, error) {
-	var cfg Config
+	var cfg config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	return newEngine(an, sampleRate, cfg)
 }
 
-func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine, error) {
+func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg config) (*Engine, error) {
 	if an == nil || an.Model == nil || an.IMU == nil || an.GPSAudioOnly == nil || an.GPSAudioIMU == nil {
 		return nil, fmt.Errorf("stream: nil or incomplete analyzer")
 	}
@@ -172,13 +172,13 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 		return nil, err
 	}
 	e := &Engine{
-		an:      an,
-		cfg:     cfg.withDefaults(),
-		sig:     sig,
-		rate:    sampleRate,
-		imuWM:   math.Inf(-1),
-		gpsWM:   math.Inf(-1),
-		gravity: mathx.Vec3{Z: sensors.Gravity},
+		an:     an,
+		cfg:    cfg.withDefaults(),
+		sig:    sig,
+		rate:   sampleRate,
+		imuWM:  math.Inf(-1),
+		gpsWM:  math.Inf(-1),
+		imuMon: an.IMU.NewMonitor(),
 	}
 	// Mirror NewExtractor's per-channel low-pass: a causal biquad fed
 	// sample by sample is bit-identical to the batch ProcessAll.
@@ -194,9 +194,6 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 	if !e.cfg.DisableTriage {
 		e.tri = an.Triage
 	}
-	e.imuMon = newIMUMonitor(an.IMU, sig.WindowSeconds)
-	e.gpsAO = newGPSMonitor(an.GPSAudioOnly, sig.HopSeconds)
-	e.gpsAI = newGPSMonitor(an.GPSAudioIMU, sig.HopSeconds)
 	e.status.ActiveMode = an.GPSAudioIMU.Mode()
 	e.status.Threshold = an.GPSAudioIMU.Threshold()
 	return e, nil
@@ -206,13 +203,13 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 // called before publishing begins and before Run.
 func (e *Engine) Attach(bus *mavbus.Bus) error {
 	var err error
-	if e.subAudio, err = bus.Subscribe(e.cfg.AudioTopic, e.cfg.Buffer); err != nil {
+	if e.subAudio, err = bus.Subscribe(TopicAudio, e.cfg.Buffer); err != nil {
 		return err
 	}
-	if e.subIMU, err = bus.Subscribe(e.cfg.IMUTopic, e.cfg.Buffer); err != nil {
+	if e.subIMU, err = bus.Subscribe(TopicIMU, e.cfg.Buffer); err != nil {
 		return err
 	}
-	if e.subGPS, err = bus.Subscribe(e.cfg.GPSTopic, e.cfg.Buffer); err != nil {
+	if e.subGPS, err = bus.Subscribe(TopicGPS, e.cfg.Buffer); err != nil {
 		return err
 	}
 	return nil
@@ -492,12 +489,14 @@ func (e *Engine) onGPS(s GPSSample) {
 		telemetryNaN.Inc()
 		return
 	}
-	if e.gpsAO.est == nil {
-		if err := e.gpsAO.init(s.Vel); err != nil && e.err == nil {
-			e.err = err
-		}
-		if err := e.gpsAI.init(s.Vel); err != nil && e.err == nil {
-			e.err = err
+	if e.gpsAO == nil && e.gpsAI == nil {
+		var errAO, errAI error
+		e.gpsAO, errAO = e.an.GPSAudioOnly.NewMonitor(s.Vel)
+		e.gpsAI, errAI = e.an.GPSAudioIMU.NewMonitor(s.Vel)
+		for _, err := range []error{errAO, errAI} {
+			if err != nil && e.err == nil {
+				e.err = err
+			}
 		}
 	}
 	if s.Time >= e.gpsWM {
@@ -683,55 +682,55 @@ func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
 		feat = append(feat, roll/n, pitch/n)
 	}
 	pred := e.an.Model.Predict(feat)
-
-	// Stage 1: per-sample z-axis residuals into the KS period monitor.
-	vals := make([]float64, len(imuWin))
+	accel := make([]mathx.Vec3, len(imuWin))
 	for i, s := range imuWin {
-		vals[i] = pred.Z - s.Accel.Z
+		accel[i] = s.Accel
 	}
-	e.imuMon.addWindow(t0, vals)
+	gpsWin := e.gpsWindow(t0, endT)
+	gpsVel := make([]mathx.Vec3, len(gpsWin))
+	for i, s := range gpsWin {
+		gpsVel[i] = s.Vel
+	}
+	o := soundboost.ObserveWindow(t0, e.sig.WindowSeconds, pred, imuWin[len(imuWin)/2].Att, accel, gpsVel)
 
-	// Stage 2: window-mean observation into both KF variants. Both run
-	// from the start so the verdict can switch variants retroactively
-	// cleanly — exactly the batch selection semantics.
-	if gpsWin := e.gpsWindow(t0, endT); len(gpsWin) > 0 {
-		att := imuWin[len(imuWin)/2].Att
-		var imuSum mathx.Vec3
-		for _, s := range imuWin {
-			imuSum = imuSum.Add(s.Accel)
+	span = imuPeriodTimer.Start()
+	e.imuMon.Add(o)
+	span.Stop()
+	// Both KF variants run from the start so the verdict can switch
+	// variants retroactively — exactly the batch selection semantics.
+	for _, g := range []*soundboost.GPSMonitor{e.gpsAO, e.gpsAI} {
+		if g != nil {
+			span := gpsStepTimer.Start()
+			g.Add(winIdx, o)
+			span.Stop()
 		}
-		imuBody := imuSum.Scale(1 / float64(len(imuWin)))
-		var gpsSum mathx.Vec3
-		for _, s := range gpsWin {
-			gpsSum = gpsSum.Add(s.Vel)
-		}
-		o := gpsObs{
-			winIdx:   winIdx,
-			t:        endT,
-			audioNED: att.Rotate(pred).Add(e.gravity),
-			imuNED:   att.Rotate(imuBody).Add(e.gravity),
-			gpsVel:   gpsSum.Scale(1 / float64(len(gpsWin))),
-		}
-		e.gpsAO.add(o)
-		e.gpsAI.add(o)
 	}
 	windowsEmitted.Inc()
 
 	e.mu.Lock()
 	e.status.Windows++
 	e.status.LastWindowEnd = endT
-	e.status.IMUAttacked = e.imuMon.verdict.Attacked
-	active := e.gpsAI
-	e.status.ActiveMode = e.an.GPSAudioIMU.Mode()
-	if e.imuMon.verdict.Attacked {
-		active = e.gpsAO
-		e.status.ActiveMode = e.an.GPSAudioOnly.Mode()
+	e.status.IMUAttacked = e.imuMon.Verdict().Attacked
+	active, det := e.activeGPS(e.status.IMUAttacked)
+	e.status.ActiveMode = det.Mode()
+	e.status.Threshold = det.Threshold()
+	var v soundboost.GPSVerdict
+	var running float64
+	if active != nil {
+		v, running = active.Verdict(), active.RunningError()
 	}
-	e.status.GPSAttacked = active.verdict.Attacked
-	e.status.RunningError = active.monitor.Mean()
-	e.status.PeakError = active.verdict.PeakError
-	e.status.Threshold = active.threshold
+	e.status.GPSAttacked, e.status.RunningError, e.status.PeakError = v.Attacked, running, v.PeakError
 	e.mu.Unlock()
+}
+
+// activeGPS returns the GPS monitor (nil before the first GPS fix) and
+// detector of the KF variant stage 2 trusts given the IMU verdict:
+// audio-only once the IMU is flagged, audio+IMU otherwise.
+func (e *Engine) activeGPS(imuAttacked bool) (*soundboost.GPSMonitor, *soundboost.GPSDetector) {
+	if imuAttacked {
+		return e.gpsAO, e.an.GPSAudioOnly
+	}
+	return e.gpsAI, e.an.GPSAudioIMU
 }
 
 func (e *Engine) bumpSkipped() {
@@ -840,16 +839,16 @@ func (e *Engine) finalize() (soundboost.Report, error) {
 		}
 		e.escalate()
 	}
-	imuV := e.imuMon.finalize()
-	gps := e.gpsAI
-	mode := e.an.GPSAudioIMU.Mode()
-	if imuV.Attacked {
-		gps = e.gpsAO
-		mode = e.an.GPSAudioOnly.Mode()
-	}
-	gpsV, gpsErr := gps.finalize()
-	if gpsErr != nil && e.err == nil {
-		e.err = gpsErr
+	imuV := e.imuMon.Finish()
+	gps, det := e.activeGPS(imuV.Attacked)
+	mode := det.Mode()
+	gpsV := soundboost.GPSVerdict{Threshold: det.Threshold()}
+	if gps != nil {
+		var gpsErr error
+		gpsV, gpsErr = gps.Finish()
+		if gpsErr != nil && e.err == nil {
+			e.err = gpsErr
+		}
 	}
 	report := soundboost.Report{
 		Flight:    e.cfg.FlightName,

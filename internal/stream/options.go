@@ -3,25 +3,15 @@ package stream
 import soundboost "soundboost/internal/core"
 
 // Option configures the streaming engine built by New. Options are
-// applied in order over the zero Config, so later options win and the
-// documented Config defaults fill whatever no option sets.
-type Option func(*Config)
-
-// WithTopics overrides the bus topic names the engine subscribes to.
-// Empty strings keep the defaults (TopicAudio, TopicIMU, TopicGPS).
-func WithTopics(audio, imu, gps string) Option {
-	return func(c *Config) {
-		c.AudioTopic = audio
-		c.IMUTopic = imu
-		c.GPSTopic = gps
-	}
-}
+// applied in order over the zero config, so later options win and the
+// documented config defaults fill whatever no option sets.
+type Option func(*config)
 
 // WithBuffer sets the per-subscription channel depth. The bus sheds the
 // oldest message when a buffer overflows, so size this to the burstiness
 // of the link, not the flight length (default 1024).
 func WithBuffer(depth int) Option {
-	return func(c *Config) { c.Buffer = depth }
+	return func(c *config) { c.Buffer = depth }
 }
 
 // WithLagHorizon bounds how far (seconds) the audio stream may run ahead
@@ -29,24 +19,24 @@ func WithBuffer(depth int) Option {
 // starved (default 10 s). This is what bounds engine memory when a
 // telemetry stream stalls.
 func WithLagHorizon(seconds float64) Option {
-	return func(c *Config) { c.MaxLagSeconds = seconds }
+	return func(c *config) { c.MaxLagSeconds = seconds }
 }
 
 // WithGapFill processes windows overlapping an audio dropout using the
 // zero-filled gap samples instead of skipping them (default false).
 func WithGapFill(process bool) Option {
-	return func(c *Config) { c.GapFill = process }
+	return func(c *config) { c.GapFill = process }
 }
 
 // WithFlightName labels the produced report.
 func WithFlightName(name string) Option {
-	return func(c *Config) { c.FlightName = name }
+	return func(c *config) { c.FlightName = name }
 }
 
 // WithTriageDisabled forces the full pipeline on every window even when
 // the analyzer carries a screening tier (the -no-triage escape hatch).
 func WithTriageDisabled(disabled bool) Option {
-	return func(c *Config) { c.DisableTriage = disabled }
+	return func(c *config) { c.DisableTriage = disabled }
 }
 
 // WithPrecision runs the stream's signature/inference hot path under the
@@ -55,5 +45,5 @@ func WithTriageDisabled(disabled bool) Option {
 // unchanged and the report records the mode it ran under. The zero value
 // keeps the analyzer's own configured mode.
 func WithPrecision(p soundboost.Precision) Option {
-	return func(c *Config) { c.Precision = p }
+	return func(c *config) { c.Precision = p }
 }

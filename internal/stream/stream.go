@@ -2,18 +2,20 @@
 // mavbus telemetry topics a companion computer sees in flight
 // ("audio-frame", "imu", "gps") and runs the calibrated two-stage
 // analysis incrementally — a ring-buffered windower emits acoustic
-// signatures as each hop of audio completes, an incremental monitor
-// re-runs the IMU Kolmogorov-Smirnov verdict per pooled period, and two
-// stepwise Kalman error monitors mirror the batch GPS detector sample by
-// sample, with the active KF variant switching live when the IMU verdict
-// flips.
+// signatures as each hop of audio completes, and each window's
+// observation drives the core detectors' monitors: the IMU
+// Kolmogorov-Smirnov period monitor and the two Kalman GPS error
+// monitors, with the active KF variant switching live when the IMU
+// verdict flips. The engine only ingests, windows and drives; the
+// detectors themselves live in package core.
 //
-// The engine's contract with the batch pipeline is equivalence: on a
-// clean, in-order, lossless stream, the final verdict (root cause, IMU
-// and GPS verdicts) is identical to Analyzer.Analyze over the same
-// recorded flight, because both paths share the same feature kernel
-// (SignatureConfig.AcousticWindow), the same model inference, and the
-// same detector recursions in the same order. Under degraded input —
+// The engine's contract with the batch pipeline is equality: on a
+// clean, in-order, lossless stream, the final report is identical to
+// Analyzer.Analyze over the same recorded flight, because both paths
+// share the same feature kernel (SignatureConfig.AcousticWindow), the
+// same model inference, the same window observation
+// (soundboost.ObserveWindow) and the same detector monitors, fed in the
+// same order. Under degraded input —
 // out-of-order, dropped, or NaN telemetry, audio dropouts — the engine
 // degrades gracefully: corrupt samples are shed and counted, audio gaps
 // are zero-filled to preserve timing with the affected windows skipped,
@@ -69,14 +71,9 @@ type GPSSample struct {
 	Vel mathx.Vec3
 }
 
-// Config tunes the streaming engine. The zero value selects the
+// config tunes the streaming engine. The zero value selects the
 // defaults noted on each field.
-type Config struct {
-	// AudioTopic, IMUTopic, GPSTopic name the bus topics to subscribe
-	// to (defaults: TopicAudio, TopicIMU, TopicGPS).
-	AudioTopic string
-	IMUTopic   string
-	GPSTopic   string
+type config struct {
 	// Buffer is the per-subscription channel depth (default 1024). The
 	// bus sheds the oldest message when a buffer overflows, so size this
 	// to the burstiness of the link, not the flight length.
@@ -105,16 +102,7 @@ type Config struct {
 	Precision soundboost.Precision
 }
 
-func (c Config) withDefaults() Config {
-	if c.AudioTopic == "" {
-		c.AudioTopic = TopicAudio
-	}
-	if c.IMUTopic == "" {
-		c.IMUTopic = TopicIMU
-	}
-	if c.GPSTopic == "" {
-		c.GPSTopic = TopicGPS
-	}
+func (c config) withDefaults() config {
 	if c.Buffer <= 0 {
 		c.Buffer = 1024
 	}
@@ -146,7 +134,6 @@ var (
 	windowsScreened    = obs.Default.Counter("stream.windows.screened")
 	triageEscalations  = obs.Default.Counter("stream.triage.escalations")
 	triageFastReports  = obs.Default.Counter("stream.triage.fast_reports")
-	gpsSegments        = obs.Default.Counter("stream.gps.segments")
 	featureTimer       = obs.Default.Timer("stream.window.features")
 	imuPeriodTimer     = obs.Default.Timer("stream.imu.period")
 	gpsStepTimer       = obs.Default.Timer("stream.gps.step")

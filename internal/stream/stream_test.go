@@ -15,7 +15,7 @@ import (
 	"soundboost/internal/sim"
 )
 
-// testGenConfig mirrors the reduced-rate configuration the core tests
+// testGenConfig matches the reduced-rate configuration the core tests
 // use, so the fixture stays fast while keeping the sample arithmetic
 // representative (4 kHz audio, 0.25 s hops → exact sample counts).
 func testGenConfig(mission sim.Mission, seed int64) dataset.GenConfig {
@@ -163,14 +163,12 @@ func runStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight, rcfg Re
 	return report, eng
 }
 
-func closeTo(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
-}
-
 // TestStreamEquivalence is the engine's core contract: on a clean,
-// in-order, lossless replay the streaming verdict matches batch Analyze
-// — on benign flights and on attacked ones (where the live KF-variant
-// switch must land on the same stage-2 verdict as the batch selection).
+// in-order, lossless replay the streaming report equals batch Analyze
+// exactly — on benign flights and on attacked ones (where the live
+// KF-variant switch must land on the same stage-2 verdict as the batch
+// selection). Both paths drive the same core detector monitors, so the
+// equality is bitwise, not approximate.
 func TestStreamEquivalence(t *testing.T) {
 	fx := getFixture(t)
 	flights := []*dataset.Flight{
@@ -187,34 +185,8 @@ func TestStreamEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, _ := runStream(t, fx.analyzer, f, ReplayConfig{Speed: 0})
-
-			if got.Cause != batch.Cause {
-				t.Errorf("cause = %q, batch %q", got.Cause, batch.Cause)
-			}
-			if got.GPSMode != batch.GPSMode {
-				t.Errorf("GPS mode = %q, batch %q", got.GPSMode, batch.GPSMode)
-			}
-			if got.IMU.Attacked != batch.IMU.Attacked ||
-				got.IMU.WindowsTested != batch.IMU.WindowsTested ||
-				got.IMU.WindowsRejected != batch.IMU.WindowsRejected {
-				t.Errorf("IMU verdict = %+v, batch %+v", got.IMU, batch.IMU)
-			}
-			if !closeTo(got.IMU.DetectionTime, batch.IMU.DetectionTime, 1e-9) ||
-				!closeTo(got.IMU.AttackStd, batch.IMU.AttackStd, 1e-9) {
-				t.Errorf("IMU timing/std = (%v, %v), batch (%v, %v)",
-					got.IMU.DetectionTime, got.IMU.AttackStd, batch.IMU.DetectionTime, batch.IMU.AttackStd)
-			}
-			if got.GPS.Attacked != batch.GPS.Attacked {
-				t.Errorf("GPS attacked = %v, batch %v", got.GPS.Attacked, batch.GPS.Attacked)
-			}
-			if !closeTo(got.GPS.PeakError, batch.GPS.PeakError, 1e-9) {
-				t.Errorf("GPS peak error = %v, batch %v", got.GPS.PeakError, batch.GPS.PeakError)
-			}
-			if !closeTo(got.GPS.DetectionTime, batch.GPS.DetectionTime, 1e-9) {
-				t.Errorf("GPS detection time = %v, batch %v", got.GPS.DetectionTime, batch.GPS.DetectionTime)
-			}
-			if !closeTo(got.GPS.Threshold, batch.GPS.Threshold, 1e-12) {
-				t.Errorf("GPS threshold = %v, batch %v", got.GPS.Threshold, batch.GPS.Threshold)
+			if got != batch {
+				t.Errorf("stream report differs from batch:\nstream %+v\nbatch  %+v", got, batch)
 			}
 		})
 	}

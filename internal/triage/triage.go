@@ -682,23 +682,6 @@ func escalated(d Decision) Decision {
 	return d
 }
 
-// MaxBenignDistance returns the largest mean k-nearest distance over
-// the given raw vectors — the radius below which at least one of them
-// stops screening benign. Calibration uses it to tighten the radius
-// until a must-escalate flight escalates.
-func (m *Model) MaxBenignDistance(feats [][]float64) float64 {
-	maxD := 0.0
-	for _, f := range feats {
-		if len(f) != len(m.mean) {
-			continue
-		}
-		if d := m.meanBenignDistance(m.normalize(f)); d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}
-
 // Tighten lowers the benign radius to below (no-op when the current
 // radius is already lower). Tightening is one-directional — it can only
 // turn fast-path windows into escalations, never the reverse — so it
