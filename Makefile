@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-gate cover verify verify-short staticcheck fmt live-smoke serve-smoke chaos-smoke sweep-smoke fleet-smoke ha-smoke
+.PHONY: build test race bench bench-json bench-gate cover verify verify-short staticcheck fmt loc live-smoke serve-smoke chaos-smoke sweep-smoke fleet-smoke ha-smoke
 
 build:
 	$(GO) build ./...
@@ -106,3 +106,10 @@ ha-smoke:
 
 fmt:
 	gofmt -w .
+
+# loc reports the non-test Go lines added, removed and net against
+# BASE (default: the previous commit), e.g. `make loc BASE=main`
+# (scripts/loc.sh). A report, not a gate.
+BASE ?= HEAD~1
+loc:
+	sh scripts/loc.sh $(BASE)

@@ -711,6 +711,39 @@ func TestAnalyzerSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPipelineRejectsRedundantIMU pins the primary-IMU rule: the RCA
+// pipeline observes the primary IMU only, so an analyzer whose IMU
+// detector selects a redundant unit cannot start a run, analyse a
+// flight, or load from a saved file — it would otherwise silently mix
+// primary-IMU residuals into a redundant unit's calibration.
+func TestPipelineRejectsRedundantIMU(t *testing.T) {
+	fx := getFixture(t)
+	an, err := NewAnalyzer(fx.model, fx.calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aux := *an.IMU
+	aux.cfg.Stream = 1
+	bad := *an
+	bad.IMU = &aux
+	if _, err := bad.NewRun(); err == nil {
+		t.Error("NewRun accepted a redundant-IMU analyzer")
+	}
+	if _, err := bad.Analyze(fx.heldout[0]); err == nil {
+		t.Error("Analyze accepted a redundant-IMU analyzer")
+	}
+	var buf bytes.Buffer
+	if err := bad.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadAnalyzer(&buf); err == nil {
+		t.Error("LoadAnalyzer accepted a redundant-IMU analyzer file")
+	}
+	if _, err := an.NewRun(); err != nil {
+		t.Errorf("NewRun rejected the primary-IMU analyzer: %v", err)
+	}
+}
+
 func TestAnalyzerSavePartial(t *testing.T) {
 	an := &Analyzer{}
 	var buf bytes.Buffer

@@ -1,6 +1,7 @@
 package soundboost
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -10,6 +11,10 @@ import (
 	"soundboost/internal/parallel"
 	"soundboost/internal/stats"
 )
+
+// errNoGPSWindows is the GPS stage's error for a flight without one
+// usable window.
+var errNoGPSWindows = errors.New("soundboost: no usable windows for GPS RCA")
 
 // GPSDetectorConfig tunes the GPS-spoofing RCA stage (§III-C2).
 type GPSDetectorConfig struct {
@@ -106,7 +111,7 @@ func (d *GPSDetector) run(f *dataset.Flight, trace *GPSTrace) (GPSVerdict, error
 		return GPSVerdict{}, err
 	}
 	if len(obs) == 0 {
-		return GPSVerdict{}, fmt.Errorf("soundboost: no usable windows for GPS RCA")
+		return GPSVerdict{}, errNoGPSWindows
 	}
 	// Initial velocity from the first GPS fix (pre-attack per threat model).
 	var v0 mathx.Vec3

@@ -202,13 +202,21 @@ func windowFeatures(ex *Extractor, f *dataset.Flight, t0, windowSeconds float64)
 	if len(tel) == 0 {
 		return nil
 	}
+	return AppendAttitude(feat, tel, func(s dataset.TelemetrySample) mathx.Quat { return s.EstAtt })
+}
+
+// AppendAttitude appends the window-mean autopilot attitude (roll,
+// pitch) over a window's telemetry rows — at least one — to its
+// acoustic signature: the model input's SignatureConfig.AttitudeFeatures
+// tail.
+func AppendAttitude[T any](feat []float64, rows []T, att func(T) mathx.Quat) []float64 {
 	var roll, pitch float64
-	for _, s := range tel {
-		r, p, _ := s.EstAtt.Euler()
+	for _, s := range rows {
+		r, p, _ := att(s).Euler()
 		roll += r
 		pitch += p
 	}
-	n := float64(len(tel))
+	n := float64(len(rows))
 	return append(feat, roll/n, pitch/n)
 }
 

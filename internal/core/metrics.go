@@ -11,8 +11,10 @@ import "soundboost/internal/obs"
 //     once per extracted signature window (including augmented and
 //     rejected windows).
 //   - core.predict fires once per AcousticModel prediction.
-//   - core.rca.imu.detect / core.rca.gps.detect fire once per flight
-//     per stage; core.rca.analyze wraps the full two-stage RCA.
+//   - core.rca.imu.detect / core.rca.gps.detect fire once per
+//     standalone IMUDetector.Detect / GPSDetector.Detect call;
+//     core.rca.analyze wraps the full two-stage RCA, which runs both
+//     stages in one pass without firing them.
 //   - core.calibrate.* time the one-off detector calibrations.
 //   - core.rca.gps.segments counts GPS analysis segments restarted
 //     across a hole in a monitor's window indices (streams only).

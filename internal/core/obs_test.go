@@ -127,3 +127,49 @@ func TestDisabledLayerRecordsNothing(t *testing.T) {
 		t.Errorf("disabled layer recorded %d spans", got)
 	}
 }
+
+// TestAnalyzeObservesOnce pins Analyze's single observation pass: the
+// IMU and GPS stages share one set of window observations, so one
+// full-pipeline Analyze filters the audio once, extracts each signature
+// window once and predicts once per usable window.
+func TestAnalyzeObservesOnce(t *testing.T) {
+	fx := getFixture(t)
+	an, err := NewAnalyzer(fx.model, fx.calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fx.heldout[0]
+	sig := fx.model.Config().Signature
+	ex, err := NewExtractor(f.Audio, sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := ex.WindowStarts(sig.WindowSeconds)
+	usable := 0
+	for _, t0 := range starts {
+		if windowFeatures(ex, f, t0, sig.WindowSeconds) != nil && len(f.TelemetryBetween(t0, t0+sig.WindowSeconds)) > 0 {
+			usable++
+		}
+	}
+	if usable == 0 {
+		t.Fatal("no usable windows in fixture flight")
+	}
+
+	withObs(t)
+	filterTimer := obs.Default.Timer("core.extract.filter")
+	winTimer := obs.Default.Timer("core.signature.window")
+	predTimer := obs.Default.Timer("core.predict")
+	filterBefore, winBefore, predBefore := filterTimer.Count(), winTimer.Count(), predTimer.Count()
+	if _, err := an.Analyze(f); err != nil {
+		t.Fatal(err)
+	}
+	if got := filterTimer.Count() - filterBefore; got != 1 {
+		t.Errorf("Analyze filtered the flight %d times, want 1", got)
+	}
+	if got := winTimer.Count() - winBefore; got != int64(len(starts)) {
+		t.Errorf("Analyze extracted %d signature windows for %d windows", got, len(starts))
+	}
+	if got := predTimer.Count() - predBefore; got != int64(usable) {
+		t.Errorf("Analyze predicted %d times for %d usable windows", got, usable)
+	}
+}

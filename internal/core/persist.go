@@ -75,6 +75,9 @@ func LoadAnalyzer(r io.Reader) (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkPrimaryIMU(af.IMUCfg); err != nil {
+		return nil, err
+	}
 	if af.IMUBenign.Sigma <= 0 {
 		return nil, fmt.Errorf("soundboost: analyzer file has degenerate benign sigma %g", af.IMUBenign.Sigma)
 	}

@@ -7,6 +7,7 @@ import (
 	"soundboost/internal/dataset"
 	"soundboost/internal/faults"
 	"soundboost/internal/kalman"
+	"soundboost/internal/mathx"
 	"soundboost/internal/parallel"
 	"soundboost/internal/triage"
 )
@@ -85,29 +86,24 @@ type Analyzer struct {
 	GPSAudioOnly *GPSDetector
 	// GPSAudioIMU is used when the IMU is trusted.
 	GPSAudioIMU *GPSDetector
-	// Triage is the optional screening tier (WithTriage). When attached,
+	// Triage is the optional screening tier (TrainTriage). When attached,
 	// flights whose every window screens confident-benign short-circuit
 	// Analyze with FastBenignReport instead of running the detectors;
 	// any doubt escalates to the full pipeline. Nil disables screening.
 	Triage *triage.Model
 }
 
-// NewAnalyzer calibrates all detectors from benign flights. The three
-// calibrations are independent and run concurrently on the worker pool.
-// Functional options (WithWorkers, WithIMUConfig, WithKFVariant)
-// customize the calibration; with none the defaults reproduce the
-// historical two-argument behaviour, so existing call sites compile and
-// behave unchanged.
+// NewAnalyzer calibrates all detectors, at their default
+// configurations, from benign flights. The three calibrations are
+// independent and run concurrently on the worker pool. WithPrecision
+// selects the arithmetic they calibrate under.
 func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight, opts ...AnalyzerOption) (*Analyzer, error) {
 	if model == nil {
 		return nil, fmt.Errorf("soundboost: nil model")
 	}
-	o := defaultAnalyzerOptions()
+	var o analyzerOptions
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if err := o.validate(); err != nil {
-		return nil, err
 	}
 	if o.precisionSet {
 		var err error
@@ -122,10 +118,10 @@ func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight, opts ...
 		imu                 *IMUDetector
 		audioOnly, audioIMU *GPSDetector
 	)
-	err := parallel.Run(o.workers,
+	err := parallel.Run(0,
 		func() error {
 			var err error
-			imu, err = NewIMUDetector(model, benignFlights, o.imuCfg)
+			imu, err = NewIMUDetector(model, benignFlights, DefaultIMUDetectorConfig())
 			if err != nil {
 				return fmt.Errorf("soundboost: IMU detector: %w", err)
 			}
@@ -133,7 +129,7 @@ func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight, opts ...
 		},
 		func() error {
 			var err error
-			audioOnly, err = NewGPSDetector(model, benignFlights, o.gpsCfgs[kalman.ModeAudioOnly])
+			audioOnly, err = NewGPSDetector(model, benignFlights, DefaultGPSDetectorConfig(kalman.ModeAudioOnly))
 			if err != nil {
 				return fmt.Errorf("soundboost: audio-only GPS detector: %w", err)
 			}
@@ -141,7 +137,7 @@ func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight, opts ...
 		},
 		func() error {
 			var err error
-			audioIMU, err = NewGPSDetector(model, benignFlights, o.gpsCfgs[kalman.ModeAudioIMU])
+			audioIMU, err = NewGPSDetector(model, benignFlights, DefaultGPSDetectorConfig(kalman.ModeAudioIMU))
 			if err != nil {
 				return fmt.Errorf("soundboost: audio+IMU GPS detector: %w", err)
 			}
@@ -151,7 +147,7 @@ func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight, opts ...
 	if err != nil {
 		return nil, err
 	}
-	return &Analyzer{Model: model, IMU: imu, GPSAudioOnly: audioOnly, GPSAudioIMU: audioIMU, Triage: o.triage}, nil
+	return &Analyzer{Model: model, IMU: imu, GPSAudioOnly: audioOnly, GPSAudioIMU: audioIMU}, nil
 }
 
 // WithGPSMargin returns a shallow copy of the analyzer whose GPS
@@ -232,8 +228,10 @@ func (a *Analyzer) WithPrecision(p Precision) (*Analyzer, error) {
 	return &clone, nil
 }
 
-// Analyze runs the full two-stage RCA over a flight. A nil or empty
-// flight returns ErrNoFlight. On a stage error the partial report still
+// Analyze runs the full two-stage RCA over a flight: it screens the
+// flight when a triage tier is attached, then observes every usable
+// window once and drives one Run over them. A nil or empty flight
+// returns ErrNoFlight. On a stage error the partial report still
 // carries a coherent GPSMode: the variant stage 2 would have used given
 // what stage 1 concluded (audio+IMU until the IMU is flagged).
 func (a *Analyzer) Analyze(f *dataset.Flight) (Report, error) {
@@ -251,39 +249,191 @@ func (a *Analyzer) Analyze(f *dataset.Flight) (Report, error) {
 			return FastBenignReport(f.Name, a), nil
 		}
 	}
-	report := Report{Flight: f.Name, GPSMode: a.GPSAudioIMU.Mode(), Precision: a.Precision()}
-
-	imuVerdict, err := a.IMU.Detect(f)
+	partial := Report{Flight: f.Name, GPSMode: a.GPSAudioIMU.Mode(), Precision: a.Precision()}
+	run, err := a.NewRun()
 	if err != nil {
-		return report, fmt.Errorf("soundboost: IMU stage: %w", err)
+		return partial, err
 	}
-	report.IMU = imuVerdict
-
-	// Stage 2: pick the KF variant by stage-1 outcome (paper §III-C2).
-	gps := a.GPSAudioIMU
-	if imuVerdict.Attacked {
-		gps = a.GPSAudioOnly
-	}
-	report.GPSMode = gps.Mode()
-	gpsVerdict, err := gps.Detect(f)
+	obs, err := flightObservations(a.Model, f, 0)
 	if err != nil {
-		return report, fmt.Errorf("soundboost: GPS stage: %w", err)
+		return partial, fmt.Errorf("soundboost: IMU stage: %w", err)
 	}
-	report.GPS = gpsVerdict
+	// Both KF variants start from the first GPS fix (pre-attack per the
+	// threat model), as GPSDetector.Detect does.
+	var v0 mathx.Vec3
+	if len(f.Telemetry) > 0 {
+		v0 = f.Telemetry[0].GPSVel
+	}
+	run.StartGPS(v0)
+	for i, o := range obs {
+		run.Add(i, o)
+	}
+	report, err := run.Finish(f.Name)
+	if len(obs) == 0 {
+		err = errNoGPSWindows
+	}
+	if err != nil {
+		partial.IMU, partial.GPSMode = report.IMU, report.GPSMode
+		return partial, fmt.Errorf("soundboost: GPS stage: %w", err)
+	}
+	if report.IMU.Attacked {
+		reportsIMU.Inc()
+	}
+	if report.GPS.Attacked {
+		reportsGPS.Inc()
+	}
+	return report, nil
+}
 
+// Run is one flight's pass through the two-stage RCA, fed one window
+// observation at a time. It owns the stage-1 IMU monitor and one GPS
+// monitor per KF variant: both variants run from the first GPS fix, so
+// the stage-2 verdict can follow the IMU verdict retroactively —
+// audio-only once the IMU is flagged, audio+IMU otherwise (paper
+// §III-C). Analyze drives a Run over a recorded flight; the streaming
+// engine drives one live. Both finish through Finish.
+type Run struct {
+	a   *Analyzer
+	imu *IMUMonitor
+	// gps holds the audio-only and the audio+IMU variant, in that order.
+	gps     [2]gpsVariant
+	started bool
+}
+
+// gpsVariant is one KF variant of a run: its detector, and the monitor
+// (nil until StartGPS, or when StartGPS failed with err).
+type gpsVariant struct {
+	det *GPSDetector
+	mon *GPSMonitor
+	err error
+}
+
+// RunStatus is a run's live verdict state.
+type RunStatus struct {
+	// IMUAttacked and GPSAttacked are the verdicts so far (GPS per the
+	// active KF variant).
+	IMUAttacked bool
+	GPSAttacked bool
+	// ActiveMode is the KF variant stage 2 currently trusts, and
+	// Threshold its calibrated alarm level.
+	ActiveMode kalman.Mode
+	Threshold  float64
+	// RunningError and PeakError expose the active GPS monitor (0 before
+	// the first GPS fix).
+	RunningError float64
+	PeakError    float64
+}
+
+// NewRun starts one flight's RCA pass. The pipeline observes the
+// primary IMU only: an analyzer whose IMU detector selects a redundant
+// unit (IMUDetectorConfig.Stream != 0, paper §V-B) runs standalone
+// through IMUDetector.Detect, not through a Run.
+func (a *Analyzer) NewRun() (*Run, error) {
+	if a == nil || a.Model == nil || a.IMU == nil || a.GPSAudioOnly == nil || a.GPSAudioIMU == nil {
+		return nil, fmt.Errorf("soundboost: nil or incomplete analyzer")
+	}
+	if err := checkPrimaryIMU(a.IMU.cfg); err != nil {
+		return nil, err
+	}
+	return &Run{
+		a:   a,
+		imu: a.IMU.NewMonitor(),
+		gps: [2]gpsVariant{{det: a.GPSAudioOnly}, {det: a.GPSAudioIMU}},
+	}, nil
+}
+
+// checkPrimaryIMU rejects an IMU configuration the pipeline cannot run.
+func checkPrimaryIMU(cfg IMUDetectorConfig) error {
+	if cfg.Stream != 0 {
+		return fmt.Errorf("soundboost: the RCA pipeline runs on the primary IMU stream (0), analyzer uses stream %d", cfg.Stream)
+	}
+	return nil
+}
+
+// StartGPS seeds both KF variants with the first GPS velocity fix v0.
+// Only the first call counts; windows added before it reach the IMU
+// stage only.
+func (r *Run) StartGPS(v0 mathx.Vec3) {
+	if r.started {
+		return
+	}
+	r.started = true
+	for i := range r.gps {
+		r.gps[i].mon, r.gps[i].err = r.gps[i].det.NewMonitor(v0)
+	}
+}
+
+// Add feeds window winIdx's observation to both stages. Windows arrive
+// in index order; a gap in the indices restarts the GPS analysis
+// segment (see GPSMonitor).
+func (r *Run) Add(winIdx int, o WindowObs) {
+	r.imu.Add(o)
+	for _, g := range r.gps {
+		if g.mon != nil {
+			g.mon.Add(winIdx, o)
+		}
+	}
+}
+
+// Err reports whether seeding either KF variant failed. Finish returns
+// the error only when stage 2 trusts the failed variant; a screening
+// caller treats any failure as doubt.
+func (r *Run) Err() error {
+	for _, g := range r.gps {
+		if g.err != nil {
+			return g.err
+		}
+	}
+	return nil
+}
+
+// active returns the KF variant stage 2 trusts given the IMU verdict.
+func (r *Run) active(imuAttacked bool) *gpsVariant {
+	if imuAttacked {
+		return &r.gps[0]
+	}
+	return &r.gps[1]
+}
+
+// Status returns the run's live verdict state.
+func (r *Run) Status() RunStatus {
+	imu := r.imu.Verdict().Attacked
+	g := r.active(imu)
+	s := RunStatus{IMUAttacked: imu, ActiveMode: g.det.Mode(), Threshold: g.det.Threshold()}
+	if g.mon != nil {
+		v := g.mon.Verdict()
+		s.GPSAttacked, s.RunningError, s.PeakError = v.Attacked, g.mon.RunningError(), v.PeakError
+	}
+	return s
+}
+
+// Finish closes the run and assembles the flight's report: the stage-1
+// verdict picks the stage-2 KF variant, and the two verdicts attribute
+// the cause. The error is the trusted variant's seeding or KF error;
+// the report is complete either way.
+func (r *Run) Finish(flight string) (Report, error) {
+	imuV := r.imu.Finish()
+	g := r.active(imuV.Attacked)
+	report := Report{
+		Flight:    flight,
+		IMU:       imuV,
+		GPS:       GPSVerdict{Threshold: g.det.Threshold()},
+		GPSMode:   g.det.Mode(),
+		Precision: r.a.Precision(),
+	}
+	err := g.err
+	if g.mon != nil {
+		report.GPS, err = g.mon.Finish()
+	}
 	switch {
-	case imuVerdict.Attacked && gpsVerdict.Attacked:
+	case imuV.Attacked && report.GPS.Attacked:
 		report.Cause = CauseIMUAndGPS
-		reportsIMU.Inc()
-		reportsGPS.Inc()
-	case imuVerdict.Attacked:
+	case imuV.Attacked:
 		report.Cause = CauseIMU
-		reportsIMU.Inc()
-	case gpsVerdict.Attacked:
+	case report.GPS.Attacked:
 		report.Cause = CauseGPS
-		reportsGPS.Inc()
 	default:
 		report.Cause = CauseNone
 	}
-	return report, nil
+	return report, err
 }

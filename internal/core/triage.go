@@ -29,13 +29,13 @@ type triageWindow struct {
 	feat []float64
 }
 
-// forEachTriageWindow enumerates the flight's screening windows exactly
-// as the streaming engine decides them: the same window grid, the same
-// per-mic causal low-pass on the primary mic, and the same half-open
-// [t0, t1) telemetry selection with non-finite rows shed at ingest.
-// Mirroring the stream bit for bit keeps batch, streamed, and served
-// triage decisions identical for the same flight. fn returns false to
-// stop early.
+// forEachTriageWindow enumerates the flight's screening windows on the
+// streaming engine's window grid: the causal low-pass on the primary
+// mic, the half-open [t0, t1) telemetry selection, rows shed by
+// FiniteIMURow / FiniteGPSRow, and features from TriageFeatures — the
+// same grid and the same shared code the engine screens with, so batch,
+// streamed, and served triage decisions agree for the same flight. fn
+// returns false to stop early.
 func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fc triage.FeatureConfig, fn func(w triageWindow) bool) error {
 	rec := f.Audio
 	if rec == nil || rec.Samples() == 0 {
@@ -56,28 +56,19 @@ func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fc triage.Featu
 		audio = lp.ProcessAll(audio)
 	}
 
-	// Shed non-finite telemetry rows with the stream's ingest predicates
-	// (onIMU / onGPS): time+accel+attitude finite for IMU rows, time+
-	// pos+vel finite for GPS rows. Rows are already time-sorted.
+	// Shed non-finite telemetry rows with the engine's ingest predicates.
+	// Rows are already time-sorted.
 	imuRows := make([]triage.IMUPoint, 0, len(f.Telemetry))
 	imuTimes := make([]float64, 0, len(f.Telemetry))
 	gpsRows := make([]triage.GPSPoint, 0, len(f.Telemetry))
 	for _, s := range f.Telemetry {
-		if finite(s.Time) && s.IMUAccel.IsFinite() && finiteQuat(s.EstAtt) {
+		if FiniteIMURow(s.Time, s.IMUAccel, s.EstAtt) {
 			imuRows = append(imuRows, triage.IMUPoint{Accel: s.IMUAccel, Gyro: s.IMUGyro})
 			imuTimes = append(imuTimes, s.Time)
 		}
-		if finite(s.Time) && s.GPSVel.IsFinite() && s.GPSPos.IsFinite() {
+		if FiniteGPSRow(s.Time, s.GPSPos, s.GPSVel) {
 			gpsRows = append(gpsRows, triage.GPSPoint{Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel})
 		}
-	}
-
-	// The screen runs under the signature precision: Float32 swaps in the
-	// real-input float32 spectral kernel, everything else (window grid,
-	// telemetry shedding, escalation predicates) is shared code.
-	features := fc.Features
-	if sig.Precision == Float32 {
-		features = fc.Features32
 	}
 
 	win := sig.WindowSeconds
@@ -108,7 +99,7 @@ func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fc triage.Featu
 		}
 		w := triageWindow{t0: t0, t1: t1}
 		if imuHi > imuLo {
-			w.feat = features(audio[start:start+total], rate, imuRows[imuLo:imuHi], gpsRows[gpsLo:gpsHi])
+			w.feat = TriageFeatures(sig, fc, audio[start:start+total], rate, imuRows[imuLo:imuHi], gpsRows[gpsLo:gpsHi])
 		}
 		if !fn(w) {
 			return nil
@@ -116,11 +107,30 @@ func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fc triage.Featu
 	}
 }
 
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-func finiteQuat(q mathx.Quat) bool {
-	return !math.IsNaN(q.W+q.X+q.Y+q.Z) && !math.IsInf(q.W+q.X+q.Y+q.Z, 0)
+// TriageFeatures is the screening tier's feature vector for one window
+// of primary-mic audio and its telemetry, under the signature precision:
+// Float32 swaps in the real-input float32 spectral kernel. Nil marks a
+// window the screen must escalate (too short, no IMU rows).
+func TriageFeatures(sig SignatureConfig, fc triage.FeatureConfig, audio []float64, rate float64, imu []triage.IMUPoint, gps []triage.GPSPoint) []float64 {
+	if sig.Precision == Float32 {
+		return fc.Features32(audio, rate, imu, gps)
+	}
+	return fc.Features(audio, rate, imu, gps)
 }
+
+// FiniteIMURow reports whether an IMU telemetry row is usable: finite
+// time, accelerometer and attitude. Rows failing it are shed at ingest.
+func FiniteIMURow(t float64, accel mathx.Vec3, att mathx.Quat) bool {
+	return finite(t) && accel.IsFinite() && finite(att.W+att.X+att.Y+att.Z)
+}
+
+// FiniteGPSRow reports whether a GPS fix is usable: finite time,
+// position and velocity.
+func FiniteGPSRow(t float64, pos, vel mathx.Vec3) bool {
+	return finite(t) && pos.IsFinite() && vel.IsFinite()
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // screenFlight runs the triage tier over a whole flight. The flight
 // fast-paths only when every window screens confident-benign; any

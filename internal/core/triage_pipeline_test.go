@@ -29,10 +29,11 @@ func trainedTriageAnalyzer(t *testing.T) (*Analyzer, []*dataset.Flight) {
 	if err != nil {
 		t.Fatalf("TrainTriage: %v", err)
 	}
-	an, err := NewAnalyzer(fx.model, fx.calib, WithTriage(tier))
+	an, err := NewAnalyzer(fx.model, fx.calib)
 	if err != nil {
 		t.Fatal(err)
 	}
+	an.Triage = tier
 	if _, _, err := an.VerifyTriage(corpus); err != nil {
 		t.Fatalf("VerifyTriage: %v", err)
 	}

@@ -17,6 +17,7 @@ import (
 	"soundboost/api"
 	"soundboost/internal/chaos"
 	"soundboost/internal/dataset"
+	"soundboost/internal/obs"
 	"soundboost/internal/server"
 	"soundboost/internal/testfix"
 )
@@ -434,5 +435,52 @@ func TestFleetPartitionFailover(t *testing.T) {
 	// Heal so the gateway's drain (cleanup) can reach both replicas.
 	for _, r := range reps {
 		faultPlane.Heal(r.host())
+	}
+}
+
+// TestFleetMetricNamesBounded pins bounded metric cardinality through
+// the gateway: 20 replicated sessions under distinct client-chosen
+// flight prefixes must not grow the process-wide registry. The
+// per-replica routing counters are a family bounded by the fleet, so
+// they are registered up front.
+func TestFleetMetricNamesBounded(t *testing.T) {
+	fx := testfix.Get(t)
+	g, reps := startFleet(t, 3, Config{})
+	for _, r := range reps {
+		routedTo(r.name)
+	}
+	f := fx.Calib[0]
+	reqs, err := testfix.Frames(f, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func() int {
+		s := obs.Default.Snapshot()
+		return len(s.Counters) + len(s.Gauges) + len(s.Histograms) + len(s.Timers)
+	}
+	// open starts a session and replicates its first chunk.
+	var bases []string
+	open := func(flight string) {
+		t.Helper()
+		created := decode[api.SessionResponse](t, hdo(t, g, "POST", "/v1/sessions", api.SessionRequest{
+			Flight:       flight,
+			SampleRateHz: f.Audio.SampleRate,
+			Buffer:       1 << 15,
+		}), http.StatusCreated)
+		base := "/v1/sessions/" + created.ID
+		decode[api.FramesResponse](t, hdo(t, g, "POST", base+"/frames", reqs[0]), http.StatusOK)
+		bases = append(bases, base)
+	}
+	open("warm-up")
+	before := names()
+	for i := 0; i < 20; i++ {
+		open(fmt.Sprintf("tenant-%02d/%s", i, f.Name))
+	}
+	if after := names(); after != before {
+		t.Errorf("20 sessions with distinct flight prefixes grew the registry from %d to %d names", before, after)
+	}
+	// End every stream so the gateway drain has nothing to wait on.
+	for _, base := range bases {
+		decode[api.FramesResponse](t, hdo(t, g, "POST", base+"/frames", api.FramesRequest{Close: true}), http.StatusOK)
 	}
 }

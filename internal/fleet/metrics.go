@@ -29,14 +29,13 @@ var (
 	// replication.* track the gateway-driven journal replication stream:
 	// appends are chunk copies acked by followers, errors are appends a
 	// follower failed (the session keeps serving; lag shows the debt),
-	// lag.<gwID> gauges each session's owner-to-slowest-follower chunk
-	// gap, and behind gauges how many sessions currently have lag > 0.
+	// lag is a histogram of the owner-to-slowest-follower chunk gap
+	// observed at every replication step of every session, and behind
+	// gauges how many sessions currently have lag > 0.
 	replicationAppends = obs.Default.Counter("fleet.replication.appends")
 	replicationErrors  = obs.Default.Counter("fleet.replication.errors")
 	replicationBehind  = obs.Default.Gauge("fleet.replication.behind")
-	replicationLag     = func(gwID string) *obs.Gauge {
-		return obs.Default.Gauge("fleet.replication.lag." + gwID)
-	}
+	replicationLag     = obs.Default.Histogram("fleet.replication.lag")
 	// rebalance.* track rejoin draining: events are up-transitions that
 	// started a rebalance pass, moved / skipped split its per-session
 	// outcomes (skips: terminal sessions, export or migrate failures,

@@ -27,7 +27,7 @@ import (
 //
 // Replication is best-effort per chunk and never fails the client: the
 // owner's fsynced journal already made the chunk durable, so a follower
-// falling behind is a visible (fleet.replication.lag.*) reduction in
+// falling behind is a visible (fleet.replication.lag) reduction in
 // failure coverage, not an error. Appends ride a tighter retry budget
 // than client forwarding — the client is waiting.
 
@@ -151,9 +151,9 @@ func (g *Gateway) seedFollowersLocked(rt *route, exp api.SessionJournal) {
 	g.updateLagLocked(rt)
 }
 
-// updateLagLocked refreshes the session's replication-lag gauge (owner
-// high-water mark minus the slowest follower's) and the fleet-wide
-// behind count. Caller holds rt.mu.
+// updateLagLocked records the session's replication lag (owner
+// high-water mark minus the slowest follower's) and refreshes the
+// fleet-wide behind count. Caller holds rt.mu.
 func (g *Gateway) updateLagLocked(rt *route) {
 	lag := 0
 	for _, f := range rt.followers {
@@ -164,7 +164,7 @@ func (g *Gateway) updateLagLocked(rt *route) {
 			lag = l
 		}
 	}
-	replicationLag(rt.gwID).Set(float64(lag))
+	replicationLag.Observe(float64(lag))
 	switch {
 	case lag > 0 && rt.prevLag == 0:
 		replicationBehind.Add(1)

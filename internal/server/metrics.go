@@ -1,10 +1,6 @@
 package server
 
-import (
-	"strings"
-
-	"soundboost/internal/obs"
-)
+import "soundboost/internal/obs"
 
 // Server metrics, resolved once at init and gated by obs.Enable (serve
 // them with -debug-addr). server.sessions.active tracks table occupancy;
@@ -58,15 +54,6 @@ var (
 	framesAccepted = obs.Default.Counter("server.frames.accepted")
 	httpErrors     = obs.Default.Counter("server.http.errors")
 
-	// sessionsOpenedByGroup counts opened sessions per flight-label group
-	// (see labelGroup): workload drivers that label sessions
-	// "sweep/trial-…", "chaos-…", etc. become separately countable in the
-	// registry snapshot, so a sweep's sessions are attributable among
-	// whatever else the server is doing.
-	sessionsOpenedByGroup = func(flight string) *obs.Counter {
-		return obs.Default.Counter("server.sessions.opened." + labelGroup(flight))
-	}
-
 	flightsTimer        = obs.Default.Timer("server.http.flights")
 	sessionsTimer       = obs.Default.Timer("server.http.sessions.create")
 	framesTimer         = obs.Default.Timer("server.http.sessions.frames")
@@ -75,29 +62,3 @@ var (
 	journalExportTimer  = obs.Default.Timer("server.http.sessions.journal")
 	followerAppendTimer = obs.Default.Timer("server.http.sessions.journal_append")
 )
-
-// labelGroup maps a session's flight label to a bounded metric group:
-// the prefix before the first "/" when the label carries one (the
-// convention workload drivers use — "sweep/trial-0042" groups as
-// "sweep"), "default" otherwise. Grouping on the client-chosen prefix
-// rather than the whole label keeps counter cardinality bounded by the
-// number of distinct workloads, not sessions. Characters the registry
-// treats as separators are flattened.
-func labelGroup(flight string) string {
-	group := flight
-	if i := strings.IndexByte(group, '/'); i >= 0 {
-		group = group[:i]
-	}
-	group = strings.TrimSpace(group)
-	if group == "" {
-		return "default"
-	}
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, group)
-}

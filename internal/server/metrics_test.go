@@ -1,28 +1,39 @@
 package server
 
-import "testing"
+import (
+	"fmt"
+	"net/http"
+	"testing"
 
-// TestLabelGroup pins the flight-label → metric-group mapping: the
-// prefix before the first "/" when present, "default" for empty labels,
-// and separator characters flattened so registry names stay clean.
-func TestLabelGroup(t *testing.T) {
-	cases := []struct {
-		flight string
-		want   string
-	}{
-		{"sweep/trial-0042", "sweep"},
-		{"sweep/kf=audio-only/m=1.1", "sweep"},
-		{"chaos-00-control", "chaos-00-control"},
-		{"hover_b01", "hover_b01"},
-		{"", "default"},
-		{"   ", "default"},
-		{"/anonymous", "default"},
-		{"weird label/x", "weird_label"},
-		{"dots.and:colons", "dots_and_colons"},
+	"soundboost/api"
+	"soundboost/internal/obs"
+)
+
+// registryNames counts the metric names in the process-wide registry.
+func registryNames() int {
+	s := obs.Default.Snapshot()
+	return len(s.Counters) + len(s.Gauges) + len(s.Histograms) + len(s.Timers)
+}
+
+// TestSessionMetricNamesBounded pins bounded metric cardinality on the
+// session surface: flight labels are client-chosen, so opening sessions
+// under any number of distinct labels must not mint registry names.
+func TestSessionMetricNamesBounded(t *testing.T) {
+	f := getFixture(t).calib[0]
+	s := newTestServer(t, Config{})
+	open := func(flight string) {
+		t.Helper()
+		decode[api.SessionResponse](t, do(t, s, "POST", "/v1/sessions", api.SessionRequest{
+			Flight:       flight,
+			SampleRateHz: f.Audio.SampleRate,
+		}), http.StatusCreated)
 	}
-	for _, c := range cases {
-		if got := labelGroup(c.flight); got != c.want {
-			t.Errorf("labelGroup(%q) = %q, want %q", c.flight, got, c.want)
-		}
+	open("warm-up")
+	before := registryNames()
+	for i := 0; i < 20; i++ {
+		open(fmt.Sprintf("tenant-%02d/%s", i, f.Name))
+	}
+	if after := registryNames(); after != before {
+		t.Errorf("20 sessions with distinct flight prefixes grew the registry from %d to %d names", before, after)
 	}
 }

@@ -7,11 +7,9 @@ import (
 	"strings"
 
 	"soundboost/api"
-	soundboost "soundboost/internal/core"
 	"soundboost/internal/faults"
 	"soundboost/internal/journal"
 	"soundboost/internal/mavbus"
-	"soundboost/internal/stream"
 )
 
 // Crash recovery: with Config.JournalDir set, a restarted server rebuilds
@@ -141,20 +139,7 @@ func (s *Server) recoverSession(rec journal.Recovered) error {
 	// The buffer floor absorbs the replay burst — recovery publishes the
 	// whole log as fast as the bus accepts, and a shed message here would
 	// silently change the verdict.
-	opts := []stream.Option{
-		stream.WithFlightName(meta.Req.Flight),
-		stream.WithBuffer(maxInt(meta.Req.Buffer, maxInt(s.cfg.SessionBuffer, recoveryBufferFloor))),
-	}
-	if meta.Req.LagHorizonSeconds > 0 {
-		opts = append(opts, stream.WithLagHorizon(meta.Req.LagHorizonSeconds))
-	}
-	if meta.Req.GapFill {
-		opts = append(opts, stream.WithGapFill(true))
-	}
-	if meta.Req.Precision != "" {
-		opts = append(opts, stream.WithPrecision(soundboost.Precision(meta.Req.Precision)))
-	}
-	eng, err := stream.New(s.an, meta.Req.SampleRateHz, opts...)
+	eng, err := s.newEngine(meta.Req, recoveryBufferFloor)
 	if err != nil {
 		return err
 	}

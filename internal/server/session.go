@@ -280,6 +280,32 @@ func (s *session) publishEvents(req api.FramesRequest) (int, error) {
 	return len(events), nil
 }
 
+// newEngine builds a session's engine from its request: the analyzer at
+// the requested precision (a threshold-preserving clone), driven with
+// the requested stream options over a bus buffer of at least floor.
+func (s *Server) newEngine(req api.SessionRequest, floor int) (*stream.Engine, error) {
+	an := s.an
+	if req.Precision != "" {
+		var err error
+		if an, err = an.WithPrecision(soundboost.Precision(req.Precision)); err != nil {
+			return nil, err
+		}
+	}
+	buffer := s.cfg.SessionBuffer
+	if req.Buffer > 0 {
+		buffer = req.Buffer
+	}
+	opts := []stream.Option{
+		stream.WithFlightName(req.Flight),
+		stream.WithBuffer(maxInt(buffer, floor)),
+		stream.WithGapFill(req.GapFill),
+	}
+	if req.LagHorizonSeconds > 0 {
+		opts = append(opts, stream.WithLagHorizon(req.LagHorizonSeconds))
+	}
+	return stream.New(an, req.SampleRateHz, opts...)
+}
+
 // stateNow returns the current lifecycle state.
 func (s *session) stateNow() string {
 	s.mu.Lock()
@@ -292,24 +318,6 @@ func (s *session) stateNow() string {
 // evicted; if every slot holds a live session the request is shed with
 // ErrCapacity (HTTP 429).
 func (s *Server) createSession(req api.SessionRequest) (*session, error) {
-	opts := []stream.Option{
-		stream.WithFlightName(req.Flight),
-		stream.WithBuffer(s.cfg.SessionBuffer),
-	}
-	if req.Buffer > 0 {
-		opts = append(opts, stream.WithBuffer(req.Buffer))
-	}
-	if req.LagHorizonSeconds > 0 {
-		opts = append(opts, stream.WithLagHorizon(req.LagHorizonSeconds))
-	}
-	if req.GapFill {
-		opts = append(opts, stream.WithGapFill(true))
-	}
-	if req.Precision != "" {
-		// Engine construction below validates the mode (422 on unknown).
-		opts = append(opts, stream.WithPrecision(soundboost.Precision(req.Precision)))
-	}
-
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -325,9 +333,10 @@ func (s *Server) createSession(req api.SessionRequest) (*session, error) {
 	id := fmt.Sprintf("s-%08d", s.nextID)
 	s.mu.Unlock()
 
-	// Engine construction validates the sample rate against the
-	// calibrated model outside the table lock (it allocates filters).
-	eng, err := stream.New(s.an, req.SampleRateHz, opts...)
+	// Engine construction validates the precision and the sample rate
+	// against the calibrated model outside the table lock (it allocates
+	// filters).
+	eng, err := s.newEngine(req, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", faults.ErrUnprocessable, err)
 	}
@@ -389,7 +398,6 @@ func (s *Server) createSession(req api.SessionRequest) (*session, error) {
 	s.mu.Unlock()
 
 	sessionsOpened.Inc()
-	sessionsOpenedByGroup(req.Flight).Inc()
 	sess.persistMeta()
 	go func() {
 		defer s.wg.Done()

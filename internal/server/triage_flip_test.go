@@ -62,15 +62,13 @@ func triageTestAnalyzer(t *testing.T) (*soundboost.Analyzer, []*dataset.Flight) 
 
 // replayStream drives a flight through a live stream engine over a
 // lossless bus and returns the streaming report.
-func replayStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight, disableTriage bool, extra ...stream.Option) soundboost.Report {
+func replayStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight, disableTriage bool) soundboost.Report {
 	t.Helper()
 	bus := mavbus.NewBus(0)
-	opts := append([]stream.Option{
-		stream.WithBuffer(1 << 15),
-		stream.WithFlightName(f.Name),
-		stream.WithTriageDisabled(disableTriage),
-	}, extra...)
-	eng, err := stream.New(an, f.Audio.SampleRate, opts...)
+	if disableTriage {
+		an = an.WithoutTriage()
+	}
+	eng, err := stream.New(an, f.Audio.SampleRate, stream.WithBuffer(1<<15), stream.WithFlightName(f.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +97,7 @@ func replayStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight, disa
 // guarantee across every serving surface: for each flight of the
 // verified corpus, the triage-on and triage-off causes must agree on
 // the batch path (Analyze), the streaming path (live engine over a
-// bus, with the tier and with WithTriageDisabled), and the served path
+// bus, with the tier and without it), and the served path
 // (HTTP sessions against triage-on and triage-off servers). Run under
 // -race in CI (scripts/verify.sh), this also exercises the engine's
 // escalation replay for data races.

@@ -121,13 +121,9 @@ type Engine struct {
 	triFullWin   int
 	triEscalated bool
 
-	// The detector monitors the batch pipeline runs, driven window by
-	// window. The GPS monitors exist from the first finite GPS fix on.
-	imuMon *soundboost.IMUMonitor
-	gpsAO  *soundboost.GPSMonitor // audio-only KF, trusted when the IMU is flagged
-	gpsAI  *soundboost.GPSMonitor // audio+IMU KF, trusted otherwise
-
-	err error
+	// run is the flight's pass through the core RCA pipeline, fed window
+	// by window; its GPS stage starts at the first finite GPS fix.
+	run *soundboost.Run
 
 	mu     sync.Mutex
 	status Status
@@ -154,31 +150,23 @@ func New(an *soundboost.Analyzer, sampleRate float64, opts ...Option) (*Engine, 
 }
 
 func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg config) (*Engine, error) {
-	if an == nil || an.Model == nil || an.IMU == nil || an.GPSAudioOnly == nil || an.GPSAudioIMU == nil {
-		return nil, fmt.Errorf("stream: nil or incomplete analyzer")
-	}
-	if cfg.Precision != "" {
-		var err error
-		an, err = an.WithPrecision(cfg.Precision)
-		if err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
-		}
-	}
-	if an.IMU.Config().Stream != 0 {
-		return nil, fmt.Errorf("stream: only the primary IMU stream (0) is supported online, analyzer uses stream %d", an.IMU.Config().Stream)
+	run, err := an.NewRun()
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	sig := an.Model.Config().Signature
 	if err := sig.ValidateForRate(sampleRate); err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		an:     an,
-		cfg:    cfg.withDefaults(),
-		sig:    sig,
-		rate:   sampleRate,
-		imuWM:  math.Inf(-1),
-		gpsWM:  math.Inf(-1),
-		imuMon: an.IMU.NewMonitor(),
+		an:    an,
+		cfg:   cfg.withDefaults(),
+		sig:   sig,
+		rate:  sampleRate,
+		imuWM: math.Inf(-1),
+		gpsWM: math.Inf(-1),
+		tri:   an.Triage,
+		run:   run,
 	}
 	// Mirror NewExtractor's per-channel low-pass: a causal biquad fed
 	// sample by sample is bit-identical to the batch ProcessAll.
@@ -191,11 +179,7 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg config) (*Engine
 			e.filters[m] = lp
 		}
 	}
-	if !e.cfg.DisableTriage {
-		e.tri = an.Triage
-	}
-	e.status.ActiveMode = an.GPSAudioIMU.Mode()
-	e.status.Threshold = an.GPSAudioIMU.Threshold()
+	e.setRunStatus(run.Status())
 	return e, nil
 }
 
@@ -448,7 +432,7 @@ func (e *Engine) markInvalid(start, end int) {
 // sorted in if their window is still pending and dropped otherwise.
 func (e *Engine) onIMU(s IMUSample) {
 	telemetryIMU.Inc()
-	if !finiteTime(s.Time) || !s.Accel.IsFinite() || !finiteQuat(s.Att) {
+	if !soundboost.FiniteIMURow(s.Time, s.Accel, s.Att) {
 		telemetryNaN.Inc()
 		return
 	}
@@ -485,20 +469,11 @@ func (e *Engine) onIMU(s IMUSample) {
 // (the batch pipeline's v0 = Telemetry[0].GPSVel).
 func (e *Engine) onGPS(s GPSSample) {
 	telemetryGPS.Inc()
-	if !finiteTime(s.Time) || !s.Vel.IsFinite() || !s.Pos.IsFinite() {
+	if !soundboost.FiniteGPSRow(s.Time, s.Pos, s.Vel) {
 		telemetryNaN.Inc()
 		return
 	}
-	if e.gpsAO == nil && e.gpsAI == nil {
-		var errAO, errAI error
-		e.gpsAO, errAO = e.an.GPSAudioOnly.NewMonitor(s.Vel)
-		e.gpsAI, errAI = e.an.GPSAudioIMU.NewMonitor(s.Vel)
-		for _, err := range []error{errAO, errAI} {
-			if err != nil && e.err == nil {
-				e.err = err
-			}
-		}
-	}
+	e.run.StartGPS(s.Vel)
 	if s.Time >= e.gpsWM {
 		e.gpsBuf = append(e.gpsBuf, s)
 		e.gpsWM = s.Time
@@ -590,10 +565,10 @@ func (e *Engine) fastpath() bool { return e.tri != nil && !e.triEscalated }
 
 // screenWindow runs the triage tier over one ready window; false means
 // the window — and with it the stream — must escalate. Every condition
-// the full pipeline treats specially (pending engine error, dropout
+// the full pipeline treats specially (a failed KF seeding, dropout
 // overlap, missing IMU rows, unusable features) is doubt.
 func (e *Engine) screenWindow(t0 float64, start, total int) bool {
-	if e.err != nil || e.overlapsInvalid(start, start+total) {
+	if e.run.Err() != nil || e.overlapsInvalid(start, start+total) {
 		return false
 	}
 	endT := t0 + e.sig.WindowSeconds
@@ -611,11 +586,7 @@ func (e *Engine) screenWindow(t0 float64, start, total int) bool {
 		gps[i] = triage.GPSPoint{Time: s.Time, Pos: s.Pos, Vel: s.Vel}
 	}
 	off := start - e.base
-	features := e.tri.Config().Features.Features
-	if e.sig.Precision == soundboost.Float32 {
-		features = e.tri.Config().Features.Features32
-	}
-	feat := features(e.buf[0][off:off+total], e.rate, imu, gps)
+	feat := soundboost.TriageFeatures(e.sig, e.tri.Config().Features, e.buf[0][off:off+total], e.rate, imu, gps)
 	return e.tri.Classify(feat).Benign
 }
 
@@ -641,9 +612,9 @@ func (e *Engine) escalate() {
 	e.prune()
 }
 
-// processWindow runs one signature window (index winIdx, start time t0)
-// through both RCA stages. Live processing passes winIdx = e.nextWin;
-// an escalation replay passes the historical index.
+// processWindow feeds one signature window (index winIdx, start time t0)
+// to the run. Live processing passes winIdx = e.nextWin; an escalation
+// replay passes the historical index.
 func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
 	endT := t0 + e.sig.WindowSeconds
 	if !e.cfg.GapFill && e.overlapsInvalid(start, start+total) {
@@ -672,14 +643,7 @@ func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
 		return
 	}
 	if e.sig.AttitudeFeatures {
-		var roll, pitch float64
-		for _, s := range imuWin {
-			r, p, _ := s.Att.Euler()
-			roll += r
-			pitch += p
-		}
-		n := float64(len(imuWin))
-		feat = append(feat, roll/n, pitch/n)
+		feat = soundboost.AppendAttitude(feat, imuWin, func(s IMUSample) mathx.Quat { return s.Att })
 	}
 	pred := e.an.Model.Predict(feat)
 	accel := make([]mathx.Vec3, len(imuWin))
@@ -693,44 +657,25 @@ func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
 	}
 	o := soundboost.ObserveWindow(t0, e.sig.WindowSeconds, pred, imuWin[len(imuWin)/2].Att, accel, gpsVel)
 
-	span = imuPeriodTimer.Start()
-	e.imuMon.Add(o)
+	span = detectTimer.Start()
+	e.run.Add(winIdx, o)
 	span.Stop()
-	// Both KF variants run from the start so the verdict can switch
-	// variants retroactively — exactly the batch selection semantics.
-	for _, g := range []*soundboost.GPSMonitor{e.gpsAO, e.gpsAI} {
-		if g != nil {
-			span := gpsStepTimer.Start()
-			g.Add(winIdx, o)
-			span.Stop()
-		}
-	}
 	windowsEmitted.Inc()
 
+	rs := e.run.Status()
 	e.mu.Lock()
 	e.status.Windows++
 	e.status.LastWindowEnd = endT
-	e.status.IMUAttacked = e.imuMon.Verdict().Attacked
-	active, det := e.activeGPS(e.status.IMUAttacked)
-	e.status.ActiveMode = det.Mode()
-	e.status.Threshold = det.Threshold()
-	var v soundboost.GPSVerdict
-	var running float64
-	if active != nil {
-		v, running = active.Verdict(), active.RunningError()
-	}
-	e.status.GPSAttacked, e.status.RunningError, e.status.PeakError = v.Attacked, running, v.PeakError
+	e.setRunStatus(rs)
 	e.mu.Unlock()
 }
 
-// activeGPS returns the GPS monitor (nil before the first GPS fix) and
-// detector of the KF variant stage 2 trusts given the IMU verdict:
-// audio-only once the IMU is flagged, audio+IMU otherwise.
-func (e *Engine) activeGPS(imuAttacked bool) (*soundboost.GPSMonitor, *soundboost.GPSDetector) {
-	if imuAttacked {
-		return e.gpsAO, e.an.GPSAudioOnly
-	}
-	return e.gpsAI, e.an.GPSAudioIMU
+// setRunStatus copies the run's live verdict state into the status
+// snapshot. The caller holds e.mu (or owns the engine exclusively).
+func (e *Engine) setRunStatus(rs soundboost.RunStatus) {
+	e.status.IMUAttacked, e.status.GPSAttacked = rs.IMUAttacked, rs.GPSAttacked
+	e.status.ActiveMode, e.status.Threshold = rs.ActiveMode, rs.Threshold
+	e.status.RunningError, e.status.PeakError = rs.RunningError, rs.PeakError
 }
 
 func (e *Engine) bumpSkipped() {
@@ -820,65 +765,22 @@ func (e *Engine) prune() {
 	}
 }
 
-// finalize assembles the report with the batch pipeline's stage-2
-// selection and cause attribution. A stream that screened at least one
-// window and never escalated finalizes with the cheap path-independent
-// benign report; a zero-window or errored fast-path stream escalates
-// first so the report matches the triage-disabled engine exactly.
+// finalize finishes the run. A stream that screened at least one window
+// and never escalated finalizes with the cheap path-independent benign
+// report; a zero-window or doubtful fast-path stream escalates first so
+// the report matches the triage-disabled engine exactly.
 func (e *Engine) finalize() (soundboost.Report, error) {
 	if e.fastpath() {
-		if e.err == nil && e.nextWin > e.triFullWin {
+		if e.run.Err() == nil && e.nextWin > e.triFullWin {
 			triageFastReports.Inc()
-			e.mu.Lock()
-			e.status.IMUAttacked = false
-			e.status.GPSAttacked = false
-			e.status.ActiveMode = e.an.GPSAudioIMU.Mode()
-			e.status.Threshold = e.an.GPSAudioIMU.Threshold()
-			e.mu.Unlock()
 			return soundboost.FastBenignReport(e.cfg.FlightName, e.an), nil
 		}
 		e.escalate()
 	}
-	imuV := e.imuMon.Finish()
-	gps, det := e.activeGPS(imuV.Attacked)
-	mode := det.Mode()
-	gpsV := soundboost.GPSVerdict{Threshold: det.Threshold()}
-	if gps != nil {
-		var gpsErr error
-		gpsV, gpsErr = gps.Finish()
-		if gpsErr != nil && e.err == nil {
-			e.err = gpsErr
-		}
-	}
-	report := soundboost.Report{
-		Flight:    e.cfg.FlightName,
-		IMU:       imuV,
-		GPS:       gpsV,
-		GPSMode:   mode,
-		Precision: e.an.Precision(),
-	}
-	switch {
-	case imuV.Attacked && gpsV.Attacked:
-		report.Cause = soundboost.CauseIMUAndGPS
-	case imuV.Attacked:
-		report.Cause = soundboost.CauseIMU
-	case gpsV.Attacked:
-		report.Cause = soundboost.CauseGPS
-	default:
-		report.Cause = soundboost.CauseNone
-	}
+	report, err := e.run.Finish(e.cfg.FlightName)
+	rs := e.run.Status()
 	e.mu.Lock()
-	e.status.IMUAttacked = imuV.Attacked
-	e.status.GPSAttacked = gpsV.Attacked
-	e.status.ActiveMode = mode
-	e.status.PeakError = gpsV.PeakError
-	e.status.Threshold = gpsV.Threshold
+	e.setRunStatus(rs)
 	e.mu.Unlock()
-	return report, e.err
-}
-
-func finiteTime(t float64) bool { return !math.IsNaN(t) && !math.IsInf(t, 0) }
-
-func finiteQuat(q mathx.Quat) bool {
-	return !math.IsNaN(q.W+q.X+q.Y+q.Z) && !math.IsInf(q.W+q.X+q.Y+q.Z, 0)
+	return report, err
 }

@@ -1,7 +1,5 @@
 package stream
 
-import soundboost "soundboost/internal/core"
-
 // Option configures the streaming engine built by New. Options are
 // applied in order over the zero config, so later options win and the
 // documented config defaults fill whatever no option sets.
@@ -31,19 +29,4 @@ func WithGapFill(process bool) Option {
 // WithFlightName labels the produced report.
 func WithFlightName(name string) Option {
 	return func(c *config) { c.FlightName = name }
-}
-
-// WithTriageDisabled forces the full pipeline on every window even when
-// the analyzer carries a screening tier (the -no-triage escape hatch).
-func WithTriageDisabled(disabled bool) Option {
-	return func(c *config) { c.DisableTriage = disabled }
-}
-
-// WithPrecision runs the stream's signature/inference hot path under the
-// given precision: New derives a threshold-preserving precision clone of
-// the analyzer (Analyzer.WithPrecision), so verdict thresholds are
-// unchanged and the report records the mode it ran under. The zero value
-// keeps the analyzer's own configured mode.
-func WithPrecision(p soundboost.Precision) Option {
-	return func(c *config) { c.Precision = p }
 }

@@ -53,10 +53,6 @@ type ReplayConfig struct {
 	// rates (explicit PerTopic entries in Chaos win), and a zero
 	// Chaos.Seed inherits Seed.
 	Chaos *chaos.Config
-	// AudioTopic, IMUTopic, GPSTopic override the default topic names.
-	AudioTopic string
-	IMUTopic   string
-	GPSTopic   string
 }
 
 // injector builds the replay's fault schedule: the shared chaos types,
@@ -72,11 +68,11 @@ func (c ReplayConfig) injector() *chaos.Injector {
 	}
 	perTopic := make(map[string]chaos.Rates, len(ccfg.PerTopic)+3)
 	if c.AudioDropRate > 0 {
-		perTopic[c.AudioTopic] = chaos.Rates{Drop: c.AudioDropRate}
+		perTopic[TopicAudio] = chaos.Rates{Drop: c.AudioDropRate}
 	}
 	if c.DropRate > 0 {
-		perTopic[c.IMUTopic] = chaos.Rates{Drop: c.DropRate}
-		perTopic[c.GPSTopic] = chaos.Rates{Drop: c.DropRate}
+		perTopic[TopicIMU] = chaos.Rates{Drop: c.DropRate}
+		perTopic[TopicGPS] = chaos.Rates{Drop: c.DropRate}
 	}
 	for t, r := range ccfg.PerTopic {
 		perTopic[t] = r
@@ -88,15 +84,6 @@ func (c ReplayConfig) injector() *chaos.Injector {
 func (c ReplayConfig) withDefaults() ReplayConfig {
 	if c.FrameSeconds <= 0 {
 		c.FrameSeconds = 0.05
-	}
-	if c.AudioTopic == "" {
-		c.AudioTopic = TopicAudio
-	}
-	if c.IMUTopic == "" {
-		c.IMUTopic = TopicIMU
-	}
-	if c.GPSTopic == "" {
-		c.GPSTopic = TopicGPS
 	}
 	return c
 }
@@ -137,19 +124,19 @@ func Replay(ctx context.Context, bus *mavbus.Bus, f *dataset.Flight, cfg ReplayC
 		endT := float64(end) / rate
 		events = append(events, replayEvent{
 			t:   endT, // a frame exists once its last sample is captured
-			msg: mavbus.Message{Topic: cfg.AudioTopic, Time: endT, Payload: frame},
+			msg: mavbus.Message{Topic: TopicAudio, Time: endT, Payload: frame},
 		})
 	}
 	for _, s := range f.Telemetry {
 		events = append(events, replayEvent{
 			t: s.Time,
-			msg: mavbus.Message{Topic: cfg.IMUTopic, Time: s.Time, Payload: IMUSample{
+			msg: mavbus.Message{Topic: TopicIMU, Time: s.Time, Payload: IMUSample{
 				Time: s.Time, Accel: s.IMUAccel, Gyro: s.IMUGyro, Att: s.EstAtt,
 			}},
 		})
 		events = append(events, replayEvent{
 			t: s.Time,
-			msg: mavbus.Message{Topic: cfg.GPSTopic, Time: s.Time, Payload: GPSSample{
+			msg: mavbus.Message{Topic: TopicGPS, Time: s.Time, Payload: GPSSample{
 				Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel,
 			}},
 		})

@@ -3,19 +3,19 @@
 // ("audio-frame", "imu", "gps") and runs the calibrated two-stage
 // analysis incrementally — a ring-buffered windower emits acoustic
 // signatures as each hop of audio completes, and each window's
-// observation drives the core detectors' monitors: the IMU
-// Kolmogorov-Smirnov period monitor and the two Kalman GPS error
-// monitors, with the active KF variant switching live when the IMU
-// verdict flips. The engine only ingests, windows and drives; the
-// detectors themselves live in package core.
+// observation feeds the flight's core pipeline run (soundboost.Run):
+// the IMU Kolmogorov-Smirnov period monitor and the two Kalman GPS
+// error monitors, with the active KF variant switching live when the
+// IMU verdict flips. The engine only ingests, windows and drives; the
+// pipeline itself lives in package core.
 //
 // The engine's contract with the batch pipeline is equality: on a
 // clean, in-order, lossless stream, the final report is identical to
 // Analyzer.Analyze over the same recorded flight, because both paths
 // share the same feature kernel (SignatureConfig.AcousticWindow), the
 // same model inference, the same window observation
-// (soundboost.ObserveWindow) and the same detector monitors, fed in the
-// same order. Under degraded input —
+// (soundboost.ObserveWindow) and the same run, fed in the same order.
+// Under degraded input —
 // out-of-order, dropped, or NaN telemetry, audio dropouts — the engine
 // degrades gracefully: corrupt samples are shed and counted, audio gaps
 // are zero-filled to preserve timing with the affected windows skipped,
@@ -23,7 +23,6 @@
 package stream
 
 import (
-	soundboost "soundboost/internal/core"
 	"soundboost/internal/mathx"
 	"soundboost/internal/obs"
 )
@@ -88,18 +87,8 @@ type config struct {
 	// a window built from silence produces an untrustworthy signature,
 	// so dropout windows are skipped (and counted) unless opted in.
 	GapFill bool
-	// DisableTriage runs the full pipeline on every window even when the
-	// analyzer carries a screening tier — the streaming -no-triage
-	// escape hatch.
-	DisableTriage bool
 	// FlightName labels the produced report.
 	FlightName string
-	// Precision overrides the arithmetic of the signature/inference hot
-	// path for this stream: the engine derives a threshold-preserving
-	// precision clone of the analyzer (Analyzer.WithPrecision) before
-	// processing. The zero value keeps the analyzer's own mode —
-	// Float64 unless the model opted in.
-	Precision soundboost.Precision
 }
 
 func (c config) withDefaults() config {
@@ -135,8 +124,7 @@ var (
 	triageEscalations  = obs.Default.Counter("stream.triage.escalations")
 	triageFastReports  = obs.Default.Counter("stream.triage.fast_reports")
 	featureTimer       = obs.Default.Timer("stream.window.features")
-	imuPeriodTimer     = obs.Default.Timer("stream.imu.period")
-	gpsStepTimer       = obs.Default.Timer("stream.gps.step")
+	detectTimer        = obs.Default.Timer("stream.window.detect")
 	audioBufferGauge   = obs.Default.Gauge("stream.audio.buffer_seconds")
 	lagGauge           = obs.Default.Gauge("stream.lag_seconds")
 )

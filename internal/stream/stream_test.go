@@ -307,9 +307,6 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := New(fx.analyzer, 4000); err != nil {
 		t.Errorf("valid engine rejected: %v", err)
 	}
-	if _, err := New(fx.analyzer, 4000, WithPrecision("float16")); err == nil {
-		t.Error("unknown precision accepted")
-	}
 	eng, _ := New(fx.analyzer, 4000)
 	if _, err := eng.Run(context.Background()); err == nil {
 		t.Error("Run without Attach accepted")
