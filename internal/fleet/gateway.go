@@ -897,14 +897,18 @@ func (g *Gateway) handleFrames(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
 		return
 	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		g.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
+	body, err := api.ReadBody(r.Body, r.ContentLength)
 	var req api.FramesRequest
-	if err := api.DecodeStrict(bytes.NewReader(buf.Bytes()), &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+	if err == nil {
+		err = api.DecodeFrames(body, &req)
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		g.writeError(w, status, api.CodeBadRequest, err.Error())
 		return
 	}
 	rt.mu.Lock()
@@ -913,7 +917,7 @@ func (g *Gateway) handleFrames(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var out api.FramesResponse
-	if err := g.forwardLocked(rt, "POST", "/frames", buf.Bytes(), &out); err != nil {
+	if err := g.forwardLocked(rt, "POST", "/frames", body, &out); err != nil {
 		g.writeUpstreamError(w, err)
 		return
 	}
@@ -923,7 +927,7 @@ func (g *Gateway) handleFrames(w http.ResponseWriter, r *http.Request) {
 	// Stream the accepted chunk to the session's followers before the
 	// client's ack: once the 200 lands, the chunk survives losing the
 	// owner and its disk (best-effort per follower — see replication.go).
-	g.replicateLocked(rt, req, out.Duplicate)
+	g.replicateLocked(rt, body, out.Duplicate)
 	g.writeJSON(w, http.StatusOK, out)
 }
 

@@ -50,14 +50,10 @@ func (g *Gateway) pickFollowers(gwID, owner string) []string {
 	return out
 }
 
-// appendFollower replicates one chunk to one follower.
-func (g *Gateway) appendFollower(rt *route, follower string, seq int, chunk api.FramesRequest) error {
-	body, err := json.Marshal(api.JournalAppend{
-		SchemaVersion: api.Version,
-		Seq:           seq,
-		Request:       rt.req,
-		Chunk:         chunk,
-	})
+// appendFollower replicates one chunk — an accepted frames body — to
+// one follower.
+func (g *Gateway) appendFollower(rt *route, follower string, seq int, chunk []byte) error {
+	body, err := api.JournalAppendBody(seq, rt.req, chunk)
 	if err != nil {
 		return err
 	}
@@ -67,11 +63,12 @@ func (g *Gateway) appendFollower(rt *route, follower string, seq int, chunk api.
 		body, &resp)
 }
 
-// replicateLocked streams one newly owner-acknowledged chunk to the
-// session's followers. Caller holds rt.mu; duplicate is the owner's
-// verdict on the chunk (an absorbed resend carries nothing new — unless
-// a reseed is pending, in which case the full export covers it).
-func (g *Gateway) replicateLocked(rt *route, chunk api.FramesRequest, duplicate bool) {
+// replicateLocked streams one newly owner-acknowledged chunk — the
+// frames body the client sent — to the session's followers. Caller holds
+// rt.mu; duplicate is the owner's verdict on the chunk (an absorbed
+// resend carries nothing new — unless a reseed is pending, in which case
+// the full export covers it).
+func (g *Gateway) replicateLocked(rt *route, chunk []byte, duplicate bool) {
 	if g.cfg.Replication <= 1 {
 		return
 	}
@@ -136,7 +133,11 @@ func (g *Gateway) seedFollowersLocked(rt *route, exp api.SessionJournal) {
 		}
 		seeded := true
 		for i, c := range exp.Chunks {
-			if err := g.appendFollower(rt, f, i+1, c); err != nil {
+			chunk, err := json.Marshal(c)
+			if err == nil {
+				err = g.appendFollower(rt, f, i+1, chunk)
+			}
+			if err != nil {
 				replicationErrors.Inc()
 				g.logf("session %s: seed chunk %d to %s failed: %v", rt.gwID, i+1, f, err)
 				seeded = false

@@ -15,9 +15,12 @@
 //     atomically (temp file + rename) on every transition, so the file is
 //     always a complete, parseable snapshot.
 //   - <id>.chunks.jsonl — the write-ahead chunk log: each accepted
-//     FramesRequest appended as one JSON line and fsynced BEFORE the
-//     chunk is published to the session bus (and so before the client
-//     sees its 200). A torn trailing line — the crash arriving mid-write
+//     FramesRequest body appended as one line — the bytes the client
+//     sent, with newline bytes blanked (in a valid body they can only be
+//     insignificant whitespace) — and fsynced BEFORE the chunk is
+//     published to the session bus (and so before the client sees its
+//     200). Lines are read back with api.DecodeFrames, the decoder that
+//     accepted them. A torn trailing line — the crash arriving mid-write
 //     — is treated as end-of-log: the chunk was never acknowledged, so
 //     the client will resend it. A malformed line anywhere BEFORE the
 //     tail is different: those chunks were acknowledged, so losing them
@@ -233,7 +236,7 @@ func readChunkLog(path string) (chunks []api.FramesRequest, corrupt string) {
 			continue
 		}
 		var req api.FramesRequest
-		if err := json.Unmarshal(line, &req); err != nil {
+		if err := api.DecodeFrames(line, &req); err != nil {
 			if i == lastNonEmpty {
 				// Torn tail from a crash mid-append: the chunk was never
 				// acknowledged, so dropping it loses nothing the client
@@ -297,20 +300,41 @@ func (sj *Session) WriteMeta(m Meta) error {
 	return nil
 }
 
-// AppendChunk durably logs one accepted FramesRequest. It must return
-// before the chunk is published or acknowledged — the write-ahead
-// ordering is what makes "accepted" mean "survives a crash".
+// AppendChunk durably logs one FramesRequest, encoded, through
+// AppendBody.
 func (sj *Session) AppendChunk(req api.FramesRequest) error {
 	raw, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
+	return sj.AppendBody(raw)
+}
+
+// AppendBody durably logs one accepted frames body — JSON that
+// api.DecodeFrames accepted — as one line. It must return before the
+// chunk is published or acknowledged — the write-ahead ordering is what
+// makes "accepted" mean "survives a crash". AppendBody takes body over:
+// it blanks the body's newline bytes in place and writes the line
+// terminator into body's spare capacity when it has one (api.ReadBody
+// leaves one), so the line is not copied.
+func (sj *Session) AppendBody(body []byte) error {
+	for _, nl := range []byte{'\n', '\r'} {
+		for rest := body; ; {
+			i := bytes.IndexByte(rest, nl)
+			if i < 0 {
+				break
+			}
+			rest[i] = ' '
+			rest = rest[i+1:]
+		}
+	}
+	line := append(body, '\n')
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
 	if sj.chunks == nil {
 		return fmt.Errorf("journal chunk log closed")
 	}
-	if _, err := sj.chunks.Write(append(raw, '\n')); err != nil {
+	if _, err := sj.chunks.Write(line); err != nil {
 		return err
 	}
 	return sj.chunks.Sync()

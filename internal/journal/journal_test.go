@@ -1,9 +1,12 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -367,5 +370,70 @@ func TestUnreadableMetaReported(t *testing.T) {
 	}
 	if len(errs) != 1 {
 		t.Fatalf("errs = %v, want exactly one", errs)
+	}
+}
+
+// TestAppendBodyOneLine pins the log format for bodies journaled as
+// sent: a pretty-printed body (LF and CRLF) and a body with case-folded
+// keys each land as exactly one line, and the load decodes each back to
+// the request the body decodes to.
+func TestAppendBodyOneLine(t *testing.T) {
+	req := api.FramesRequest{
+		Seq: 1,
+		Audio: []api.AudioFrame{{StartSeconds: 0.5, RateHz: 16000,
+			Samples: [][]float64{{0.25, -1e-9}, {}, {3}, {-0.0078125}}}},
+		IMU:   []api.IMUSample{{TimeSeconds: 0.5, Accel: api.Vec3{Z: -9.80665}, Att: api.Quat{W: 1}}},
+		GPS:   []api.GPSSample{{TimeSeconds: 0.5, Pos: api.Vec3{X: 1, Z: -10}}},
+		Close: true,
+	}
+	pretty, err := json.MarshalIndent(req, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := []string{
+		string(pretty),
+		strings.ReplaceAll(string(pretty), "\n", "\r\n") + "\r\n",
+		`{"SEQ":1,"Close":true,"ſeq":3,"AUDIO":[{"Samples":[[1]]}],"imu":[],"gps":null}`,
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := st.Session("s-00000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sj.WriteMeta(Meta{ID: "s-00000001", State: api.SessionOpen}); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]api.FramesRequest, len(bodies))
+	for i, b := range bodies {
+		if err := api.DecodeFrames([]byte(b), &want[i]); err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+		if err := sj.AppendBody([]byte(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sj.CloseChunks()
+	raw, err := os.ReadFile(st.ChunksPath("s-00000001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw, []byte{'\n'}); n != len(bodies) {
+		t.Fatalf("log holds %d lines, want %d:\n%s", n, len(bodies), raw)
+	}
+	if bytes.IndexByte(raw, '\r') >= 0 {
+		t.Fatalf("log holds a carriage return:\n%q", raw)
+	}
+	rec, err := st.LoadSession("s-00000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Corrupt != "" || !reflect.DeepEqual(rec.Chunks, want) {
+		t.Fatalf("loaded %#v (corrupt %q), want %#v", rec.Chunks, rec.Corrupt, want)
+	}
+	if !reflect.DeepEqual(want[0], req) {
+		t.Fatalf("pretty body decodes to %#v, want %#v", want[0], req)
 	}
 }

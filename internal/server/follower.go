@@ -99,8 +99,15 @@ func (s *Server) handleJournalAppend(w http.ResponseWriter, r *http.Request) {
 			faults.ErrSessionOpen, id))
 		return
 	}
-	var req api.JournalAppend
-	if err := api.DecodeStrict(r.Body, &req); err != nil {
+	body, err := api.ReadBody(r.Body, r.ContentLength)
+	var (
+		req   api.JournalAppend
+		chunk []byte
+	)
+	if err == nil {
+		chunk, err = api.DecodeJournalAppend(body, &req)
+	}
+	if err != nil {
 		s.writeBadRequest(w, err)
 		return
 	}
@@ -150,7 +157,16 @@ func (s *Server) handleJournalAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		fc.sj, fc.closed = sj, false
 	}
-	if err := fc.sj.AppendChunk(req.Chunk); err != nil {
+	// Journal the chunk's bytes as sent; the decoded body is not read
+	// again, so AppendBody may take the byte after the span for the line
+	// terminator. A body without a single chunk object (never sent by
+	// the gateway) is journaled re-encoded.
+	if chunk != nil {
+		err = fc.sj.AppendBody(chunk)
+	} else {
+		err = fc.sj.AppendChunk(req.Chunk)
+	}
+	if err != nil {
 		s.writeError(w, fmt.Errorf("server: follower append: %w", err))
 		return
 	}

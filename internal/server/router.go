@@ -134,8 +134,12 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	body, err := api.ReadBody(r.Body, r.ContentLength)
 	var req api.FramesRequest
-	if err := api.DecodeStrict(r.Body, &req); err != nil {
+	if err == nil {
+		err = api.DecodeFrames(body, &req)
+	}
+	if err != nil {
 		s.writeBadRequest(w, err)
 		return
 	}
@@ -149,7 +153,7 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.touch(s.now())
-	accepted, duplicate, err := sess.publish(req)
+	accepted, duplicate, err := sess.publish(req, body)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -297,10 +301,15 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeBadRequest reports a body that failed strict decoding (400).
+// writeBadRequest reports a body that failed strict decoding: 400, or
+// 413 when it ran past MaxBodyBytes.
 func (s *Server) writeBadRequest(w http.ResponseWriter, err error) {
 	httpErrors.Inc()
-	s.writeJSON(w, http.StatusBadRequest, api.Error{Code: api.CodeBadRequest, Error: err.Error()})
+	status := http.StatusBadRequest
+	if isMaxBytes(err) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeJSON(w, status, api.Error{Code: api.CodeBadRequest, Error: err.Error()})
 }
 
 // writeError maps the shared fault vocabulary onto HTTP statuses: this

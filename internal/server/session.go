@@ -205,8 +205,11 @@ func (s *session) snapshot(now time.Time) api.SessionStatus {
 // acknowledged without re-publishing (duplicate=true) so a client that
 // lost an ack can blindly resend, and a chunk that skips ahead is
 // rejected with faults.ErrSeqGap. With journaling on, an accepted chunk
-// is fsynced to the write-ahead log before it reaches the bus.
-func (s *session) publish(req api.FramesRequest) (accepted int, duplicate bool, err error) {
+// is fsynced to the write-ahead log before it reaches the bus: body, the
+// bytes req was decoded from, is what the log stores (journal.AppendBody
+// takes it over). Recovery replays with journaling detached and passes
+// no body.
+func (s *session) publish(req api.FramesRequest, body []byte) (accepted int, duplicate bool, err error) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	if req.Seq > 0 {
@@ -221,7 +224,7 @@ func (s *session) publish(req api.FramesRequest) (accepted int, duplicate bool, 
 		}
 	}
 	if s.sj != nil {
-		if err := s.sj.AppendChunk(req); err != nil {
+		if err := s.sj.AppendBody(body); err != nil {
 			return 0, false, fmt.Errorf("server: journal append: %w", err)
 		}
 		journalChunks.Inc()
