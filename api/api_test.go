@@ -130,8 +130,19 @@ func TestEngineStatusRoundTrip(t *testing.T) {
 	if err := DecodeStrict(bytes.NewReader(raw), &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if got := decoded.ToStream(); !reflect.DeepEqual(got, want) {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	wire := EngineStatus{
+		LastWindowEndSeconds: 12.5,
+		Windows:              48,
+		Skipped:              3,
+		IMUAttacked:          true,
+		GPSAttacked:          true,
+		ActiveKFMode:         string(kalman.ModeAudioOnly),
+		RunningError:         0.75,
+		PeakError:            2.25,
+		Threshold:            1.125,
+	}
+	if decoded != wire {
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", decoded, wire)
 	}
 }
 

@@ -77,21 +77,6 @@ func EngineStatusFromStream(s stream.Status) EngineStatus {
 	}
 }
 
-// ToStream converts a wire engine status back to the internal struct.
-func (s EngineStatus) ToStream() stream.Status {
-	return stream.Status{
-		LastWindowEnd: s.LastWindowEndSeconds,
-		Windows:       s.Windows,
-		Skipped:       s.Skipped,
-		IMUAttacked:   s.IMUAttacked,
-		GPSAttacked:   s.GPSAttacked,
-		ActiveMode:    kalman.Mode(s.ActiveKFMode),
-		RunningError:  s.RunningError,
-		PeakError:     s.PeakError,
-		Threshold:     s.Threshold,
-	}
-}
-
 // vec3FromMathx / toMathx map the 3-vector wire form.
 func vec3FromMathx(v mathx.Vec3) Vec3 { return Vec3{X: v.X, Y: v.Y, Z: v.Z} }
 

@@ -92,12 +92,7 @@ func TestAeroBandTracksRotorSpeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		energies := spec.BandEnergies([]dsp.Band{{Low: 4800, High: 6200}})
-		var sum float64
-		for _, row := range energies {
-			sum += row[0]
-		}
-		return sum / float64(len(energies))
+		return bandSum(spec, dsp.Band{Low: 4800, High: 6200}) / float64(len(spec.Mag))
 	}
 	slow := bandAmp(cfg.HoverSpeed * 0.8)
 	hover := bandAmp(cfg.HoverSpeed)
@@ -124,7 +119,13 @@ func TestBladePassingFrequencyMatchesSpeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, _ := spec.PeakBin(1, 100, 1000)
+	frame := spec.Mag[1]
+	bin := dsp.FrequencyBin(100, spec.NFFT, cfg.SampleRate)
+	for k := bin; k <= dsp.FrequencyBin(1000, spec.NFFT, cfg.SampleRate); k++ {
+		if frame[k] > frame[bin] {
+			bin = k
+		}
+	}
 	got := dsp.BinFrequency(bin, spec.NFFT, cfg.SampleRate)
 	want := float64(cfg.Blades) * cfg.HoverSpeed / (2 * math.Pi)
 	if math.Abs(got-want) > 15 {
@@ -138,7 +139,7 @@ func TestMicArrayOffCenterGains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := arr.Gains()
+	g := arr.gain
 	// The array sits front-right, so every mic must hear the front-right
 	// rotor (0) louder than the rear-left rotor (1).
 	for m := 0; m < NumMics; m++ {
@@ -210,8 +211,15 @@ func TestExternalSourceInterferenceWeakAtDistance(t *testing.T) {
 	ExternalSourceInterference{Signal: sig, Distance: 2.0, RefDistance: 0.25, IntensityLossFactor: 0.46}.Apply(noisy)
 	// Interference from 2 m away adds little energy relative to own rotors
 	// ~0.2 m away: RMS must change by well under 10%.
-	r0 := dsp.RMS(clean.Channels[0])
-	r1 := dsp.RMS(noisy.Channels[0])
+	rms := func(x []float64) float64 {
+		sum := 0.0
+		for _, v := range x {
+			sum += v * v
+		}
+		return math.Sqrt(sum / float64(len(x)))
+	}
+	r0 := rms(clean.Channels[0])
+	r1 := rms(noisy.Channels[0])
 	if math.Abs(r1-r0)/r0 > 0.10 {
 		t.Errorf("distant interference changed RMS by %.1f%%", 100*math.Abs(r1-r0)/r0)
 	}
@@ -243,12 +251,7 @@ func TestPhaseSyncedBandAttackScalesAeroBand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		energies := spec.BandEnergies([]dsp.Band{{Low: 5000, High: 6000}})
-		var sum float64
-		for _, row := range energies {
-			sum += row[0]
-		}
-		return sum
+		return bandSum(spec, dsp.Band{Low: 5000, High: 6000})
 	}
 	tests := []struct {
 		name      string
@@ -294,14 +297,8 @@ func TestPhaseSyncedBandAttackLeavesOtherBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	band := []dsp.Band{{Low: 150, High: 450}}
-	ec := specC.BandEnergies(band)
-	ea := specA.BandEnergies(band)
-	var sumC, sumA float64
-	for i := range ec {
-		sumC += ec[i][0]
-		sumA += ea[i][0]
-	}
+	band := dsp.Band{Low: 150, High: 450}
+	sumC, sumA := bandSum(specC, band), bandSum(specA, band)
 	if math.Abs(sumA-sumC)/sumC > 0.15 {
 		t.Errorf("blade band changed by %.1f%% under aero-band attack", 100*math.Abs(sumA-sumC)/sumC)
 	}
@@ -370,4 +367,13 @@ func TestRenderFlightDeterministic(t *testing.T) {
 			t.Fatalf("sample %d differs between identical renders", i)
 		}
 	}
+}
+
+// bandSum adds the band amplitude of every spectrogram frame.
+func bandSum(spec *dsp.Spectrogram, b dsp.Band) float64 {
+	var sum float64
+	for _, frame := range spec.Mag {
+		sum += dsp.BandEnergy(frame, spec.NFFT, spec.SampleRate, b)
+	}
+	return sum
 }

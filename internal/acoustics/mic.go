@@ -135,9 +135,6 @@ func NewMicArray(cfg ArrayConfig, synth SynthConfig) (*MicArray, error) {
 	return a, nil
 }
 
-// Gains exposes the mixing gains (tests verify off-centre asymmetry).
-func (a *MicArray) Gains() [NumMics][NumRotors]float64 { return a.gain }
-
 // Record mixes per-rotor source signals (from Synthesizer.SourceSignals)
 // into a multi-channel recording. windSpeed supplies the low-frequency
 // rumble level per sample block; pass nil for still air.

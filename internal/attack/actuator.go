@@ -69,6 +69,3 @@ func (a *ActuatorDoS) InterceptMotors(t float64, cmd [sim.NumMotors]float64) [si
 	}
 	return cmd
 }
-
-// Active reports whether the attack is live at time t.
-func (a *ActuatorDoS) Active(t float64) bool { return a.Window.Contains(t) }

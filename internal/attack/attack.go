@@ -95,9 +95,6 @@ func (g *GPSSpoofer) InterceptGPS(f sensors.GPSFix) sensors.GPSFix {
 	return f
 }
 
-// Active reports whether the spoof is live at time t.
-func (g *GPSSpoofer) Active(t float64) bool { return g.Window.Contains(t) }
-
 // IMUBiasMode selects the IMU injection profile.
 type IMUBiasMode string
 
@@ -167,9 +164,6 @@ func (b *IMUBiaser) InterceptIMU(m sensors.IMUMeasurement) sensors.IMUMeasuremen
 	return m
 }
 
-// Active reports whether the bias is live at time t.
-func (b *IMUBiaser) Active(t float64) bool { return b.Window.Contains(t) }
-
 // Validate reports configuration errors.
 func (b *IMUBiaser) Validate() error {
 	if err := b.Window.Validate(); err != nil {
@@ -203,31 +197,4 @@ type Scenario struct {
 	IMU *IMUBiaser
 	// Actuator, when non-nil, injects the PWM block-waveform DoS.
 	Actuator *ActuatorDoS
-}
-
-// Benign returns the no-attack scenario.
-func Benign() Scenario { return Scenario{Name: "benign"} }
-
-// HasAttack reports whether any attack is configured.
-func (s Scenario) HasAttack() bool { return s.GPS != nil || s.IMU != nil || s.Actuator != nil }
-
-// AttackWindow returns the earliest attack window, or a zero Window when
-// benign.
-func (s Scenario) AttackWindow() Window {
-	earliest := Window{}
-	consider := func(w Window) {
-		if earliest == (Window{}) || w.Start < earliest.Start {
-			earliest = w
-		}
-	}
-	if s.GPS != nil {
-		consider(s.GPS.Window)
-	}
-	if s.IMU != nil {
-		consider(s.IMU.Window)
-	}
-	if s.Actuator != nil {
-		consider(s.Actuator.Window)
-	}
-	return earliest
 }

@@ -64,9 +64,6 @@ func TestGPSSpooferStatic(t *testing.T) {
 	if f.Pos.X != 7 {
 		t.Errorf("post-attack fix modified: %v", f.Pos.X)
 	}
-	if sp.Active(30) != true || sp.Active(80) != false {
-		t.Error("Active() wrong")
-	}
 }
 
 func TestGPSSpooferDrift(t *testing.T) {
@@ -171,32 +168,6 @@ func TestIMUBiaserValidate(t *testing.T) {
 	}
 }
 
-func TestScenario(t *testing.T) {
-	if Benign().HasAttack() {
-		t.Error("benign scenario has attack")
-	}
-	s := Scenario{
-		Name: "gps",
-		GPS:  &GPSSpoofer{Window: Window{Start: 30, End: 90}},
-	}
-	if !s.HasAttack() {
-		t.Error("GPS scenario reports no attack")
-	}
-	if w := s.AttackWindow(); w.Start != 30 {
-		t.Errorf("AttackWindow = %+v", w)
-	}
-	both := Scenario{
-		GPS: &GPSSpoofer{Window: Window{Start: 30, End: 90}},
-		IMU: &IMUBiaser{Window: Window{Start: 10, End: 20}},
-	}
-	if w := both.AttackWindow(); w.Start != 10 {
-		t.Errorf("earliest AttackWindow = %+v", w)
-	}
-	if w := Benign().AttackWindow(); w != (Window{}) {
-		t.Errorf("benign AttackWindow = %+v", w)
-	}
-}
-
 func TestActuatorDoS(t *testing.T) {
 	a := &ActuatorDoS{
 		Window:        Window{Start: 10, End: 20},
@@ -222,9 +193,6 @@ func TestActuatorDoS(t *testing.T) {
 	// On phase: passthrough.
 	if got := a.InterceptMotors(10.7, cmd); got != cmd {
 		t.Errorf("on-phase commands modified: %v", got)
-	}
-	if !a.Active(15) || a.Active(25) {
-		t.Error("Active() wrong")
 	}
 }
 
@@ -257,15 +225,5 @@ func TestActuatorDoSValidate(t *testing.T) {
 		if err := a.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
-	}
-}
-
-func TestScenarioActuator(t *testing.T) {
-	s := Scenario{Actuator: &ActuatorDoS{Window: Window{Start: 3, End: 9}, PeriodSeconds: 1, DutyOff: 0.5}}
-	if !s.HasAttack() {
-		t.Error("actuator scenario reports no attack")
-	}
-	if w := s.AttackWindow(); w.Start != 3 {
-		t.Errorf("AttackWindow = %+v", w)
 	}
 }

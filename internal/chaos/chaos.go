@@ -125,11 +125,6 @@ type Rates struct {
 	Freeze float64
 }
 
-func (r Rates) zero() bool {
-	return r.Drop == 0 && r.Dup == 0 && r.Reorder == 0 &&
-		r.NaN == 0 && r.Truncate == 0 && r.BitFlip == 0 && r.Freeze == 0
-}
-
 // Config is one seeded fault schedule.
 type Config struct {
 	// Seed drives every decision; the same seed over the same message
@@ -232,17 +227,6 @@ func (in *Injector) Counts() map[Kind]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Total returns the total number of injected faults across kinds.
-func (in *Injector) Total() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var n int64
-	for _, v := range in.counts {
-		n += v
-	}
-	return n
 }
 
 func (in *Injector) count(k Kind) {

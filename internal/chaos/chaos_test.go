@@ -97,8 +97,10 @@ func TestDeterministicSchedule(t *testing.T) {
 			t.Fatalf("message %d payload differs: %v vs %v", i, a.Payload, b.Payload)
 		}
 	}
-	if total := NewInjector(cfg, testCorrupt); total.Total() != 0 {
-		t.Fatalf("fresh injector reports %d faults", total.Total())
+	for k, n := range NewInjector(cfg, testCorrupt).Counts() {
+		if n != 0 {
+			t.Fatalf("fresh injector reports %d %s faults", n, k)
+		}
 	}
 }
 

@@ -282,26 +282,6 @@ func TestFrequencyImportanceOrdering(t *testing.T) {
 	}
 }
 
-// PredictMasked zeroes feature columns in normalised space; masking all
-// features must change the prediction toward the label mean.
-func TestPredictMasked(t *testing.T) {
-	fx := getFixture(t)
-	windows, err := BuildWindows(fx.heldout[0], fx.model.cfg.Signature, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := windows[0]
-	all := make([]int, len(w.Features))
-	for i := range all {
-		all[i] = i
-	}
-	masked := fx.model.PredictMasked(w.Features, all)
-	unmasked := fx.model.Predict(w.Features)
-	if masked == unmasked {
-		t.Error("masking all features did not change the prediction")
-	}
-}
-
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	fx := getFixture(t)
 	var buf bytes.Buffer
@@ -607,69 +587,6 @@ func TestTrainModelNoWindows(t *testing.T) {
 	cfg := DefaultMappingConfig(testSignatureConfig())
 	if _, _, err := TrainModel(nil, nil, cfg); err == nil {
 		t.Error("empty training set accepted")
-	}
-}
-
-func TestActuatorDetector(t *testing.T) {
-	fx := getFixture(t)
-	det, err := NewActuatorDetector(fx.model, DefaultActuatorDetectorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Benign flight: predicted thrust stays near 1 g the whole time.
-	v, err := det.Detect(fx.heldout[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Attacked {
-		t.Errorf("benign flight flagged as actuator outage: %+v", v)
-	}
-	if v.MinPredictedG < 0.7 {
-		t.Errorf("benign min predicted thrust %.2f g implausibly low", v.MinPredictedG)
-	}
-
-	// Actuator DoS flight: block waveform idles all motors 60%% of each
-	// second — the rotors go quiet and the model predicts sub-flight
-	// thrust (paper §V-B).
-	cfg := testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -30}, Seconds: 12}, 3100)
-	cfg.Scenario = attack.Scenario{
-		Name: "actuator",
-		Actuator: &attack.ActuatorDoS{
-			Window:        attack.Window{Start: 4, End: 10},
-			PeriodSeconds: 1.2,
-			DutyOff:       0.6,
-			IdleSpeed:     120,
-		},
-	}
-	f, err := dataset.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Scenario.Kind != "actuator-dos" {
-		t.Fatalf("Kind = %q", f.Scenario.Kind)
-	}
-	v, err = det.Detect(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Attacked {
-		t.Fatalf("actuator outage missed: min predicted %.2f g", v.MinPredictedG)
-	}
-	if v.DetectionTime < 4 || v.DetectionTime > 11 {
-		t.Errorf("detection at t=%.1f, attack window [4,10)", v.DetectionTime)
-	}
-}
-
-func TestActuatorDetectorConfigValidation(t *testing.T) {
-	fx := getFixture(t)
-	cfg := DefaultActuatorDetectorConfig()
-	cfg.MinThrustFraction = 0
-	if _, err := NewActuatorDetector(fx.model, cfg); err == nil {
-		t.Error("zero thrust fraction accepted")
-	}
-	cfg.MinThrustFraction = 1.5
-	if _, err := NewActuatorDetector(fx.model, cfg); err == nil {
-		t.Error("thrust fraction above 1 accepted")
 	}
 }
 

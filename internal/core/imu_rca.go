@@ -112,10 +112,6 @@ func NewIMUDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg I
 // BenignDistribution returns the calibrated benign residual normal.
 func (d *IMUDetector) BenignDistribution() stats.Normal { return d.benign }
 
-// Config returns the detector's configuration (after calibration-time
-// normalisation).
-func (d *IMUDetector) Config() IMUDetectorConfig { return d.cfg }
-
 // StatThreshold returns the calibrated per-period KS-statistic ceiling.
 func (d *IMUDetector) StatThreshold() float64 { return d.statThreshold }
 

@@ -396,19 +396,6 @@ func (m *AcousticModel) Predict(features []float64) mathx.Vec3 {
 	return mathx.Vec3{X: out[0], Y: out[1], Z: out[2]}
 }
 
-// PredictMasked predicts with the given feature indices zeroed (in
-// normalised space) — the counterfactual band-removal analysis of §IV-A.
-func (m *AcousticModel) PredictMasked(features []float64, masked []int) mathx.Vec3 {
-	x := m.featNorm.apply(features)
-	for _, i := range masked {
-		if i >= 0 && i < len(x) {
-			x[i] = 0
-		}
-	}
-	out := m.labNorm.invert(m.net.Infer(x))
-	return mathx.Vec3{X: out[0], Y: out[1], Z: out[2]}
-}
-
 // EvaluateMSEBandRemoved computes the model's MSE over a flight set after
 // removing a frequency band from the audio *signal* (zero-phase band-stop
 // on every channel) — the counterfactual feature-importance analysis of

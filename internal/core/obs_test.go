@@ -6,6 +6,12 @@ import (
 	"soundboost/internal/obs"
 )
 
+// timerCount returns a reader of the named default-registry timer's
+// span count.
+func timerCount(name string) func() int64 {
+	return func() int64 { return obs.Default.Snapshot().Timers[name].Count }
+}
+
 // withObs enables the observability layer for one test and restores
 // the prior state afterwards.
 func withObs(t *testing.T) {
@@ -27,15 +33,15 @@ func TestStageTimersFireOncePerWindow(t *testing.T) {
 	cfg := testSignatureConfig()
 	withObs(t)
 
-	winTimer := obs.Default.Timer("core.signature.window")
-	filterTimer := obs.Default.Timer("core.extract.filter")
-	winBefore, filterBefore := winTimer.Count(), filterTimer.Count()
+	winTimer := timerCount("core.signature.window")
+	filterTimer := timerCount("core.extract.filter")
+	winBefore, filterBefore := winTimer(), filterTimer()
 
 	ex, err := NewExtractor(f.Audio, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := filterTimer.Count() - filterBefore; got != 1 {
+	if got := filterTimer() - filterBefore; got != 1 {
 		t.Errorf("filter timer fired %d times for one extractor, want 1", got)
 	}
 
@@ -46,17 +52,17 @@ func TestStageTimersFireOncePerWindow(t *testing.T) {
 	for _, t0 := range starts {
 		ex.Features(t0, cfg.WindowSeconds)
 	}
-	if got := winTimer.Count() - winBefore; got != int64(len(starts)) {
+	if got := winTimer() - winBefore; got != int64(len(starts)) {
 		t.Errorf("window timer fired %d times for %d windows", got, len(starts))
 	}
 
 	// The contract holds on the parallel path too: BuildWindows fans
 	// Features out across the pool but still calls it once per window.
-	winBefore = winTimer.Count()
+	winBefore = winTimer()
 	if _, err := BuildWindows(f, cfg, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := winTimer.Count() - winBefore; got != int64(len(starts)) {
+	if got := winTimer() - winBefore; got != int64(len(starts)) {
 		t.Errorf("BuildWindows fired window timer %d times for %d windows", got, len(starts))
 	}
 }
@@ -67,23 +73,23 @@ func TestDetectorStageTimers(t *testing.T) {
 	fx := getFixture(t)
 	withObs(t)
 
-	imuTimer := obs.Default.Timer("core.rca.imu.detect")
-	predictTimer := obs.Default.Timer("core.predict")
+	imuTimer := timerCount("core.rca.imu.detect")
+	predictTimer := timerCount("core.predict")
 
 	imu, err := NewIMUDetector(fx.model, fx.benign(), DefaultIMUDetectorConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs.Default.Timer("core.calibrate.imu").Count() == 0 {
+	if timerCount("core.calibrate.imu")() == 0 {
 		t.Error("IMU calibration span not recorded")
 	}
 
 	f := fx.heldout[0]
-	imuBefore, predBefore := imuTimer.Count(), predictTimer.Count()
+	imuBefore, predBefore := imuTimer(), predictTimer()
 	if _, err := imu.Detect(f); err != nil {
 		t.Fatal(err)
 	}
-	if got := imuTimer.Count() - imuBefore; got != 1 {
+	if got := imuTimer() - imuBefore; got != 1 {
 		t.Errorf("IMU detect timer fired %d times for one flight, want 1", got)
 	}
 
@@ -100,7 +106,7 @@ func TestDetectorStageTimers(t *testing.T) {
 			usable++
 		}
 	}
-	if got := predictTimer.Count() - predBefore; got != int64(usable) {
+	if got := predictTimer() - predBefore; got != int64(usable) {
 		t.Errorf("predict timer fired %d times for %d usable windows", got, usable)
 	}
 }
@@ -114,8 +120,8 @@ func TestDisabledLayerRecordsNothing(t *testing.T) {
 		t.Skip("obs layer enabled by another harness")
 	}
 
-	winTimer := obs.Default.Timer("core.signature.window")
-	before := winTimer.Count()
+	winTimer := timerCount("core.signature.window")
+	before := winTimer()
 	ex, err := NewExtractor(f.Audio, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +129,7 @@ func TestDisabledLayerRecordsNothing(t *testing.T) {
 	for _, t0 := range ex.WindowStarts(cfg.WindowSeconds) {
 		ex.Features(t0, cfg.WindowSeconds)
 	}
-	if got := winTimer.Count() - before; got != 0 {
+	if got := winTimer() - before; got != 0 {
 		t.Errorf("disabled layer recorded %d spans", got)
 	}
 }
@@ -156,20 +162,20 @@ func TestAnalyzeObservesOnce(t *testing.T) {
 	}
 
 	withObs(t)
-	filterTimer := obs.Default.Timer("core.extract.filter")
-	winTimer := obs.Default.Timer("core.signature.window")
-	predTimer := obs.Default.Timer("core.predict")
-	filterBefore, winBefore, predBefore := filterTimer.Count(), winTimer.Count(), predTimer.Count()
+	filterTimer := timerCount("core.extract.filter")
+	winTimer := timerCount("core.signature.window")
+	predTimer := timerCount("core.predict")
+	filterBefore, winBefore, predBefore := filterTimer(), winTimer(), predTimer()
 	if _, err := an.Analyze(f); err != nil {
 		t.Fatal(err)
 	}
-	if got := filterTimer.Count() - filterBefore; got != 1 {
+	if got := filterTimer() - filterBefore; got != 1 {
 		t.Errorf("Analyze filtered the flight %d times, want 1", got)
 	}
-	if got := winTimer.Count() - winBefore; got != int64(len(starts)) {
+	if got := winTimer() - winBefore; got != int64(len(starts)) {
 		t.Errorf("Analyze extracted %d signature windows for %d windows", got, len(starts))
 	}
-	if got := predTimer.Count() - predBefore; got != int64(usable) {
+	if got := predTimer() - predBefore; got != int64(usable) {
 		t.Errorf("Analyze predicted %d times for %d usable windows", got, usable)
 	}
 }

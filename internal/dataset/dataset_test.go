@@ -39,7 +39,8 @@ func TestGenerateBenignFlight(t *testing.T) {
 	if got := f.Duration(); math.Abs(got-4) > 0.5 {
 		t.Errorf("Duration = %v, want ~4", got)
 	}
-	if rate := f.IMUSampleRate(); math.Abs(rate-125) > 10 {
+	tel := f.Telemetry
+	if rate := float64(len(tel)-1) / (tel[len(tel)-1].Time - tel[0].Time); math.Abs(rate-125) > 10 {
 		t.Errorf("IMU rate = %v, want ~125", rate)
 	}
 	if f.Audio == nil || f.Audio.Samples() == 0 {
@@ -209,32 +210,6 @@ func TestLoadCorrupt(t *testing.T) {
 	}
 }
 
-func TestSplitIndices(t *testing.T) {
-	train, val, test := SplitIndices(100, 0.2, 0.1, 7)
-	if len(val) != 20 || len(test) != 10 || len(train) != 70 {
-		t.Fatalf("split sizes %d/%d/%d", len(train), len(val), len(test))
-	}
-	seen := map[int]bool{}
-	for _, set := range [][]int{train, val, test} {
-		for _, i := range set {
-			if seen[i] {
-				t.Fatalf("index %d in multiple splits", i)
-			}
-			seen[i] = true
-		}
-	}
-	if len(seen) != 100 {
-		t.Errorf("%d unique indices, want 100", len(seen))
-	}
-	// Deterministic per seed.
-	train2, _, _ := SplitIndices(100, 0.2, 0.1, 7)
-	for i := range train {
-		if train[i] != train2[i] {
-			t.Fatal("split not deterministic")
-		}
-	}
-}
-
 func TestTelemetryBetween(t *testing.T) {
 	f := &Flight{Telemetry: []TelemetrySample{
 		{Time: 0}, {Time: 1}, {Time: 2}, {Time: 3},
@@ -243,11 +218,8 @@ func TestTelemetryBetween(t *testing.T) {
 	if len(got) != 2 || got[0].Time != 1 || got[1].Time != 2 {
 		t.Errorf("TelemetryBetween = %+v", got)
 	}
-	if f.IMUSampleRate() != 1 {
-		t.Errorf("IMUSampleRate = %v", f.IMUSampleRate())
-	}
 	empty := &Flight{}
-	if empty.Duration() != 0 || empty.IMUSampleRate() != 0 {
+	if empty.Duration() != 0 {
 		t.Error("empty flight stats wrong")
 	}
 }

@@ -29,33 +29,3 @@ func WriteSeriesCSV(w io.Writer, header []string, rows [][]float64) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// WriteTelemetryCSV exports a flight's telemetry log for external
-// plotting/analysis. Ground-truth columns are included (they exist only in
-// simulation and are convenient for figure regeneration).
-func (f *Flight) WriteTelemetryCSV(w io.Writer) error {
-	header := []string{
-		"time",
-		"imu_ax", "imu_ay", "imu_az",
-		"imu_gx", "imu_gy", "imu_gz",
-		"gps_px", "gps_py", "gps_pz",
-		"gps_vx", "gps_vy", "gps_vz",
-		"motor0", "motor1", "motor2", "motor3",
-		"true_px", "true_py", "true_pz",
-		"true_vx", "true_vy", "true_vz",
-	}
-	rows := make([][]float64, 0, len(f.Telemetry))
-	for _, s := range f.Telemetry {
-		rows = append(rows, []float64{
-			s.Time,
-			s.IMUAccel.X, s.IMUAccel.Y, s.IMUAccel.Z,
-			s.IMUGyro.X, s.IMUGyro.Y, s.IMUGyro.Z,
-			s.GPSPos.X, s.GPSPos.Y, s.GPSPos.Z,
-			s.GPSVel.X, s.GPSVel.Y, s.GPSVel.Z,
-			s.Motor[0], s.Motor[1], s.Motor[2], s.Motor[3],
-			s.TruePos.X, s.TruePos.Y, s.TruePos.Z,
-			s.TrueVel.X, s.TrueVel.Y, s.TrueVel.Z,
-		})
-	}
-	return WriteSeriesCSV(w, header, rows)
-}

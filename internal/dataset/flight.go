@@ -7,7 +7,6 @@ package dataset
 
 import (
 	"fmt"
-	"math/rand"
 
 	"soundboost/internal/acoustics"
 	"soundboost/internal/attack"
@@ -212,23 +211,6 @@ func Generate(cfg GenConfig) (*Flight, error) {
 	}, nil
 }
 
-// SplitIndices partitions n items into train/val/test index sets with the
-// given validation and test fractions, shuffled by seed.
-func SplitIndices(n int, valFrac, testFrac float64, seed int64) (train, val, test []int) {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	nVal := int(float64(n) * valFrac)
-	nTest := int(float64(n) * testFrac)
-	val = idx[:nVal]
-	test = idx[nVal : nVal+nTest]
-	train = idx[nVal+nTest:]
-	return train, val, test
-}
-
 // TelemetryBetween returns the telemetry samples with Time in [t0, t1).
 func (f *Flight) TelemetryBetween(t0, t1 float64) []TelemetrySample {
 	var out []TelemetrySample
@@ -238,16 +220,4 @@ func (f *Flight) TelemetryBetween(t0, t1 float64) []TelemetrySample {
 		}
 	}
 	return out
-}
-
-// IMUSampleRate estimates the telemetry rate from timestamps.
-func (f *Flight) IMUSampleRate() float64 {
-	if len(f.Telemetry) < 2 {
-		return 0
-	}
-	dt := (f.Telemetry[len(f.Telemetry)-1].Time - f.Telemetry[0].Time) / float64(len(f.Telemetry)-1)
-	if dt <= 0 {
-		return 0
-	}
-	return 1 / dt
 }

@@ -173,41 +173,6 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-func TestGoertzelMatchesFFTBin(t *testing.T) {
-	const (
-		sampleRate = 8000.0
-		n          = 1024
-	)
-	rng := rand.New(rand.NewSource(9))
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(2*math.Pi*200*float64(i)/sampleRate) + 0.1*rng.NormFloat64()
-	}
-	// Bin 25.6 -> use an exact bin frequency for the comparison.
-	k := 26
-	freq := BinFrequency(k, n, sampleRate)
-	want := Magnitudes(PlanFFT(n).ForwardReal(x, nil))[k]
-	got := Goertzel(x, freq, sampleRate)
-	if math.Abs(got-want) > 1e-6*(1+want) {
-		t.Errorf("Goertzel = %v, FFT bin = %v", got, want)
-	}
-}
-
-func TestGoertzelEmpty(t *testing.T) {
-	if got := Goertzel(nil, 100, 8000); got != 0 {
-		t.Errorf("Goertzel(nil) = %v, want 0", got)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	if err := Validate(-1); err == nil {
-		t.Error("Validate(-1) = nil, want error")
-	}
-	if err := Validate(16); err != nil {
-		t.Errorf("Validate(16) = %v, want nil", err)
-	}
-}
-
 func BenchmarkFFT4096(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randComplex(rng, 4096)
@@ -218,17 +183,5 @@ func BenchmarkFFT4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
 		p.Forward(buf)
-	}
-}
-
-func BenchmarkGoertzel4096(b *testing.B) {
-	x := make([]float64, 4096)
-	for i := range x {
-		x[i] = math.Sin(float64(i) * 0.1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Goertzel(x, 200, 8000)
 	}
 }

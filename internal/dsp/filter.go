@@ -44,28 +44,6 @@ func NewLowPass(cutoff, sampleRate float64) (*Biquad, error) {
 	}, nil
 }
 
-// NewHighPass designs a Butterworth-style high-pass biquad.
-func NewHighPass(cutoff, sampleRate float64) (*Biquad, error) {
-	if err := checkFilterRate(sampleRate); err != nil {
-		return nil, fmt.Errorf("%w: high-pass: %v", ErrBadFilterConfig, err)
-	}
-	if !isFinite(cutoff) || cutoff <= 0 || cutoff >= sampleRate/2 {
-		return nil, fmt.Errorf("%w: high-pass cutoff %g Hz outside (0, %g)", ErrBadFilterConfig, cutoff, sampleRate/2)
-	}
-	w0 := 2 * math.Pi * cutoff / sampleRate
-	q := math.Sqrt2 / 2
-	alpha := math.Sin(w0) / (2 * q)
-	cosw := math.Cos(w0)
-	a0 := 1 + alpha
-	return &Biquad{
-		b0: (1 + cosw) / 2 / a0,
-		b1: -(1 + cosw) / a0,
-		b2: (1 + cosw) / 2 / a0,
-		a1: -2 * cosw / a0,
-		a2: (1 - alpha) / a0,
-	}, nil
-}
-
 // NewBandPass designs a constant-peak band-pass biquad centered at center Hz
 // with the given quality factor q.
 func NewBandPass(center, q, sampleRate float64) (*Biquad, error) {
@@ -135,32 +113,4 @@ func (c FilterChain) Process(x float64) float64 {
 		x = f.Process(x)
 	}
 	return x
-}
-
-// ProcessAll filters a whole signal through every stage into a new slice.
-func (c FilterChain) ProcessAll(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = c.Process(v)
-	}
-	return out
-}
-
-// Reset clears all stages.
-func (c FilterChain) Reset() {
-	for _, f := range c {
-		f.Reset()
-	}
-}
-
-// RMS returns the root-mean-square amplitude of x (0 for empty input).
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range x {
-		sum += v * v
-	}
-	return math.Sqrt(sum / float64(len(x)))
 }

@@ -15,7 +15,16 @@ func gainAt(t *testing.T, f *Biquad, freq, sampleRate float64) float64 {
 	x := sine(freq, sampleRate, n)
 	y := f.ProcessAll(x)
 	// Skip the first quarter to let transients settle.
-	return RMS(y[n/4:]) / RMS(x[n/4:])
+	return rms(y[n/4:]) / rms(x[n/4:])
+}
+
+// rms returns the root-mean-square amplitude of x.
+func rms(x []float64) float64 {
+	sum := 0.0
+	for _, v := range x {
+		sum += v * v
+	}
+	return math.Sqrt(sum / float64(len(x)))
 }
 
 func TestLowPassGain(t *testing.T) {
@@ -29,20 +38,6 @@ func TestLowPassGain(t *testing.T) {
 	}
 	if g := gainAt(t, f, 7800, sampleRate); g > 0.5 {
 		t.Errorf("stopband gain at 7800 Hz = %v, want attenuated", g)
-	}
-}
-
-func TestHighPassGain(t *testing.T) {
-	const sampleRate = 16000.0
-	f, err := NewHighPass(1000, sampleRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := gainAt(t, f, 4000, sampleRate); g < 0.9 {
-		t.Errorf("passband gain at 4 kHz = %v, want ~1", g)
-	}
-	if g := gainAt(t, f, 100, sampleRate); g > 0.1 {
-		t.Errorf("stopband gain at 100 Hz = %v, want attenuated", g)
 	}
 }
 
@@ -76,10 +71,6 @@ func TestFilterDesignErrors(t *testing.T) {
 		{"lowpass Inf cutoff", func() error { _, err := NewLowPass(inf, 8000); return err }},
 		{"lowpass NaN rate", func() error { _, err := NewLowPass(1000, nan); return err }},
 		{"lowpass zero rate", func() error { _, err := NewLowPass(1000, 0); return err }},
-		{"highpass negative", func() error { _, err := NewHighPass(-10, 8000); return err }},
-		{"highpass at nyquist", func() error { _, err := NewHighPass(4000, 8000); return err }},
-		{"highpass NaN cutoff", func() error { _, err := NewHighPass(nan, 8000); return err }},
-		{"highpass Inf rate", func() error { _, err := NewHighPass(1000, inf); return err }},
 		{"bandpass zero q", func() error { _, err := NewBandPass(1000, 0, 8000); return err }},
 		{"bandpass NaN q", func() error { _, err := NewBandPass(1000, nan, 8000); return err }},
 		{"bandpass Inf q", func() error { _, err := NewBandPass(1000, inf, 8000); return err }},
@@ -139,32 +130,17 @@ func TestFilterChain(t *testing.T) {
 	}
 	chain := FilterChain{f1, f2}
 	x := sine(7800, sampleRate, 16000)
-	y := chain.ProcessAll(x)
+	y := make([]float64, len(x))
+	for i, v := range x {
+		y[i] = chain.Process(v)
+	}
 	// Two cascaded stages attenuate more than one.
 	single, err := NewLowPass(6000, sampleRate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	y1 := single.ProcessAll(x)
-	if RMS(y[4000:]) >= RMS(y1[4000:]) {
-		t.Errorf("cascade RMS %v >= single-stage RMS %v", RMS(y[4000:]), RMS(y1[4000:]))
-	}
-	chain.Reset()
-	if got := chain.Process(0); got != 0 {
-		t.Errorf("Process(0) after reset = %v, want 0", got)
-	}
-}
-
-func TestRMS(t *testing.T) {
-	if got := RMS(nil); got != 0 {
-		t.Errorf("RMS(nil) = %v, want 0", got)
-	}
-	x := []float64{1, -1, 1, -1}
-	if got := RMS(x); math.Abs(got-1) > 1e-12 {
-		t.Errorf("RMS = %v, want 1", got)
-	}
-	s := sine(100, 8000, 8000)
-	if got := RMS(s); math.Abs(got-1/math.Sqrt2) > 1e-3 {
-		t.Errorf("sine RMS = %v, want %v", got, 1/math.Sqrt2)
+	if rms(y[4000:]) >= rms(y1[4000:]) {
+		t.Errorf("cascade RMS %v >= single-stage RMS %v", rms(y[4000:]), rms(y1[4000:]))
 	}
 }

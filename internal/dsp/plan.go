@@ -121,15 +121,8 @@ func newBluesteinPlan(n int) *bluesteinPlan {
 	return bp
 }
 
-// Size returns the transform length the plan was built for.
-func (p *Plan) Size() int { return p.n }
-
-// Forward computes the in-place DFT of x, which must have length Size().
+// Forward computes the in-place DFT of x, which must have the plan's length.
 func (p *Plan) Forward(x []complex128) { p.Transform(x, false) }
-
-// Inverse computes the in-place inverse DFT of x (including the 1/N
-// normalization). x must have length Size().
-func (p *Plan) Inverse(x []complex128) { p.Transform(x, true) }
 
 // Transform runs the planned transform in place. Inverse transforms
 // include the 1/N normalization.

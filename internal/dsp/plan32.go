@@ -67,38 +67,9 @@ func newPlan32(n int) *Plan32 {
 	return p
 }
 
-// Size returns the transform length the plan was built for.
-func (p *Plan32) Size() int { return p.n }
-
 // SpectrumLen returns the number of non-redundant real-input spectrum
-// bins: Size()/2 + 1.
+// bins: n/2 + 1 for a length-n plan.
 func (p *Plan32) SpectrumLen() int { return p.n/2 + 1 }
-
-// Forward computes the in-place DFT of x, which must have length
-// Size().
-func (p *Plan32) Forward(x []complex64) {
-	if len(x) != p.n {
-		panic("dsp: plan/input size mismatch")
-	}
-	if p.n <= 1 {
-		return
-	}
-	if p.fallback != nil {
-		buf := AcquireComplex(p.n)
-		defer ReleaseComplex(buf)
-		for i, v := range x {
-			buf[i] = complex128(v)
-		}
-		p.fallback.Transform(buf, false)
-		for i, v := range buf {
-			x[i] = complex64(v)
-		}
-		return
-	}
-	span := fftTimer.Start()
-	defer span.Stop()
-	p.radix2(x)
-}
 
 // radix2 is the iterative in-place forward Cooley-Tukey butterfly —
 // the same flat loop structure as the float64 plan at half the memory
@@ -134,7 +105,7 @@ func (p *Plan32) radix2(x []complex64) {
 	}
 }
 
-// ForwardReal computes the DFT of the real signal x (length Size()),
+// ForwardReal computes the DFT of the real signal x (the plan's length),
 // returning the non-redundant half spectrum X[0..n/2] — the float32
 // analogue of Plan.ForwardReal, packing even/odd samples into one
 // half-length complex64 transform. The result is written into out when
@@ -315,12 +286,6 @@ func arenaRelease(bytes int) {
 	v := arenaInUse.Add(-int64(bytes))
 	arenaInUseGauge.Set(float64(v))
 }
-
-// ArenaInUseBytes returns the live scratch-arena byte balance.
-func ArenaInUseBytes() int64 { return arenaInUse.Load() }
-
-// ArenaPeakBytes returns the scratch-arena high-water mark.
-func ArenaPeakBytes() int64 { return arenaPeak.Load() }
 
 // --- Cached float32 analysis windows.
 

@@ -12,10 +12,10 @@ import "math/cmplx"
 // pooled scratch.
 
 // SpectrumLen returns the number of non-redundant spectrum bins a
-// real-input transform of the plan's size produces: Size()/2 + 1.
+// real-input transform of the plan's length n produces: n/2 + 1.
 func (p *Plan) SpectrumLen() int { return p.n/2 + 1 }
 
-// ForwardReal computes the DFT of the real signal x (length Size()),
+// ForwardReal computes the DFT of the real signal x (the plan's length),
 // returning the non-redundant half spectrum X[0..n/2]. The result is
 // written into out when cap(out) >= SpectrumLen(), otherwise a fresh
 // slice is allocated. x is left untouched.
@@ -72,10 +72,11 @@ func (p *Plan) ForwardReal(x []float64, out []complex128) []complex128 {
 	return out
 }
 
-// InverseReal reconstructs the real signal (length Size()) from the
+// InverseReal reconstructs the real signal (the plan's length) from the
 // half spectrum produced by ForwardReal, including the 1/N
-// normalization. The result is written into out when cap(out) >=
-// Size(), otherwise a fresh slice is allocated. spec is left untouched.
+// normalization. The result is written into out when cap(out) is at
+// least the plan's length, otherwise a fresh slice is allocated. spec is
+// left untouched.
 func (p *Plan) InverseReal(spec []complex128, out []float64) []float64 {
 	if len(spec) != p.SpectrumLen() {
 		panic("dsp: plan/spectrum size mismatch")

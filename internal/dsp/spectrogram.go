@@ -40,8 +40,6 @@ type Spectrogram struct {
 	NFFT int
 	// SampleRate is the sample rate of the analysed signal in Hz.
 	SampleRate float64
-	// HopSize is the frame advance in samples.
-	HopSize int
 }
 
 // STFT computes the magnitude spectrogram of x sampled at sampleRate.
@@ -73,23 +71,7 @@ func STFT(x []float64, sampleRate float64, cfg STFTConfig) (*Spectrogram, error)
 		plan.Forward(buf)
 		frames = append(frames, Magnitudes(buf[:nfft/2+1]))
 	}
-	return &Spectrogram{Mag: frames, NFFT: nfft, SampleRate: sampleRate, HopSize: cfg.HopSize}, nil
-}
-
-// Frames returns the number of time frames.
-func (s *Spectrogram) Frames() int { return len(s.Mag) }
-
-// Bins returns the number of frequency bins per frame.
-func (s *Spectrogram) Bins() int {
-	if len(s.Mag) == 0 {
-		return 0
-	}
-	return len(s.Mag[0])
-}
-
-// FrameTime returns the start time in seconds of frame i.
-func (s *Spectrogram) FrameTime(i int) float64 {
-	return float64(i*s.HopSize) / s.SampleRate
+	return &Spectrogram{Mag: frames, NFFT: nfft, SampleRate: sampleRate}, nil
 }
 
 // Band is a closed frequency interval in Hz.
@@ -98,9 +80,6 @@ type Band struct {
 	Low  float64
 	High float64
 }
-
-// Contains reports whether f lies within the band.
-func (b Band) Contains(f float64) bool { return f >= b.Low && f <= b.High }
 
 // BandEnergy integrates |X|^2 over the band for a single magnitude frame and
 // returns the square root (an RMS-like band amplitude). Frames outside the
@@ -116,38 +95,6 @@ func BandEnergy(frame []float64, nfft int, sampleRate float64, b Band) float64 {
 		sum += frame[k] * frame[k]
 	}
 	return math.Sqrt(sum)
-}
-
-// BandEnergies computes BandEnergy for each band over each frame,
-// returning [frame][band].
-func (s *Spectrogram) BandEnergies(bands []Band) [][]float64 {
-	out := make([][]float64, len(s.Mag))
-	for i, frame := range s.Mag {
-		row := make([]float64, len(bands))
-		for j, b := range bands {
-			row[j] = BandEnergy(frame, s.NFFT, s.SampleRate, b)
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// PeakBin returns the bin index and magnitude of the strongest component in
-// frame i within [lowHz, highHz].
-func (s *Spectrogram) PeakBin(i int, lowHz, highHz float64) (bin int, mag float64) {
-	frame := s.Mag[i]
-	lo := FrequencyBin(lowHz, s.NFFT, s.SampleRate)
-	hi := FrequencyBin(highHz, s.NFFT, s.SampleRate)
-	if hi >= len(frame) {
-		hi = len(frame) - 1
-	}
-	bin = lo
-	for k := lo; k <= hi; k++ {
-		if frame[k] > mag {
-			mag, bin = frame[k], k
-		}
-	}
-	return bin, mag
 }
 
 // MeanSpectrum averages the magnitude across all frames, giving the overall

@@ -19,54 +19,3 @@ func Hann(n int) []float64 {
 	}
 	return w
 }
-
-// Hamming returns the Hamming window of length n.
-func Hamming(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
-}
-
-// Rectangular returns the all-ones window of length n.
-func Rectangular(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
-// Blackman returns the Blackman window of length n, useful when stronger
-// sidelobe suppression is needed to separate nearby rotor harmonics.
-func Blackman(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		x := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = 0.42 - 0.5*math.Cos(x) + 0.08*math.Cos(2*x)
-	}
-	return w
-}
-
-// ApplyWindow multiplies x element-wise by window w into a new slice.
-// The shorter length wins, so mismatched lengths truncate rather than panic.
-func ApplyWindow(x, w []float64) []float64 {
-	n := len(x)
-	if len(w) < n {
-		n = len(w)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = x[i] * w[i]
-	}
-	return out
-}

@@ -5,32 +5,6 @@ import (
 	"math/cmplx"
 )
 
-// CrossCorrelate returns the circular cross-correlation of a and b via the
-// frequency domain: r[τ] = Σ a[t] b[t+τ]. Both inputs are zero-padded to
-// the next power of two at least len(a)+len(b)-1, so linear lags up to
-// ±(len-1) are unaliased. Both signals are real, so only the
-// non-redundant half spectra are transformed and multiplied.
-func CrossCorrelate(a, b []float64) []float64 {
-	n := NextPow2(len(a) + len(b) - 1)
-	plan := PlanFFT(n)
-	fa := AcquireFloats(n)
-	defer ReleaseFloats(fa)
-	fb := AcquireFloats(n)
-	defer ReleaseFloats(fb)
-	copy(fa, a)
-	copy(fb, b)
-	A := AcquireComplex(plan.SpectrumLen())
-	defer ReleaseComplex(A)
-	B := AcquireComplex(plan.SpectrumLen())
-	defer ReleaseComplex(B)
-	A = plan.ForwardReal(fa, A)
-	B = plan.ForwardReal(fb, B)
-	for i := range A {
-		A[i] = cmplx.Conj(A[i]) * B[i]
-	}
-	return plan.InverseReal(A, make([]float64, n))
-}
-
 // GCCPHAT computes the Generalized Cross-Correlation with Phase Transform
 // between two signals — the standard TDoA estimator for microphone arrays
 // (the paper's §II-D locates each propeller by TDoA). The PHAT weighting

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"soundboost/internal/stats"
 )
 
 var (
@@ -268,7 +270,13 @@ func TestRunFig6(t *testing.T) {
 	if r.AttackFit.Sigma <= r.BenignFit.Sigma {
 		t.Errorf("attack sigma %.2f not wider than benign %.2f", r.AttackFit.Sigma, r.BenignFit.Sigma)
 	}
-	if r.BenignHist.Total() == 0 || r.AttackHist.Total() == 0 {
+	total := func(h *stats.Histogram) (n int) {
+		for _, c := range h.Counts {
+			n += c
+		}
+		return n
+	}
+	if total(r.BenignHist) == 0 || total(r.AttackHist) == 0 {
 		t.Error("empty histograms")
 	}
 	if r.String() == "" {

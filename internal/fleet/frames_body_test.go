@@ -14,9 +14,10 @@ import (
 )
 
 // TestGatewayFramesBody pins the gateway's frames hop: an unknown field
-// is 400 and a body past MaxBodyBytes is 413, and an accepted body —
-// pretty-printed here — is journaled as sent, newlines blanked, by the
-// owner and, through the replication splice, by its follower.
+// is 400 and a body past MaxBodyBytes is 413 (on the flights route
+// too), and an accepted body — pretty-printed here — is journaled as
+// sent, newlines blanked, by the owner and, through the replication
+// splice, by its follower.
 func TestGatewayFramesBody(t *testing.T) {
 	fx := testfix.Get(t)
 	g, reps := startFleet(t, 3, Config{Replication: 2, MaxBodyBytes: 1 << 20})
@@ -34,6 +35,12 @@ func TestGatewayFramesBody(t *testing.T) {
 		if e := decode[api.Error](t, w, c.status); e.Code != api.CodeBadRequest {
 			t.Errorf("body %.40q: code %q, want %q", c.body, e.Code, api.CodeBadRequest)
 		}
+	}
+
+	// A batch flight upload past the cap is 413 too.
+	w := hdo(t, g, "POST", "/"+api.Version+"/flights", strings.NewReader(strings.Repeat("x", 1<<20+1)))
+	if e := decode[api.Error](t, w, http.StatusRequestEntityTooLarge); e.Code != api.CodeBadRequest {
+		t.Errorf("oversized flight: code %q, want %q", e.Code, api.CodeBadRequest)
 	}
 
 	reqs, err := testfix.Frames(fx.Calib[0], 40)

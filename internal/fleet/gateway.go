@@ -713,18 +713,6 @@ func (g *Gateway) evacuate(name string) {
 	}
 }
 
-// Placement reports which replica currently holds a gateway session —
-// observability for operators and the fleet tests.
-func (g *Gateway) Placement(gwID string) (replica string, ok bool) {
-	rt, ok := g.lookupRoute(gwID)
-	if !ok {
-		return "", false
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.replica, true
-}
-
 // forward sends one request for rt's session, failing over (once) when
 // the replica itself is the problem. Caller holds rt.mu.
 func (g *Gateway) forwardLocked(rt *route, method, suffix string, body []byte, out any) error {
@@ -780,7 +768,7 @@ func (g *Gateway) handleFlights(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(r.Body); err != nil {
-		g.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		g.writeError(w, bodyErrorStatus(err), api.CodeBadRequest, err.Error())
 		return
 	}
 	var lastErr error
@@ -903,12 +891,7 @@ func (g *Gateway) handleFrames(w http.ResponseWriter, r *http.Request) {
 		err = api.DecodeFrames(body, &req)
 	}
 	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		g.writeError(w, status, api.CodeBadRequest, err.Error())
+		g.writeError(w, bodyErrorStatus(err), api.CodeBadRequest, err.Error())
 		return
 	}
 	rt.mu.Lock()
@@ -1113,6 +1096,16 @@ func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// bodyErrorStatus is the status for a request body that could not be
+// read or decoded: 413 when it ran past MaxBodyBytes, else 400.
+func bodyErrorStatus(err error) int {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func (g *Gateway) writeError(w http.ResponseWriter, status int, code, msg string) {

@@ -270,7 +270,7 @@ func TestFleetMidFlightKillFailover(t *testing.T) {
 		decode[api.FramesResponse](t, hdo(t, g, "POST", base+"/frames", r), http.StatusOK)
 	}
 
-	owner, ok := g.Placement(gwID)
+	owner, ok := placement(g, gwID)
 	if !ok {
 		t.Fatalf("no placement for %s", gwID)
 	}
@@ -291,7 +291,7 @@ func TestFleetMidFlightKillFailover(t *testing.T) {
 	if !resent.Duplicate {
 		t.Fatalf("resend after failover: %+v, want Duplicate (acknowledged prefix lost)", resent)
 	}
-	after, _ := g.Placement(gwID)
+	after, _ := placement(g, gwID)
 	if after == owner {
 		t.Fatalf("session still placed on killed replica %s", owner)
 	}
@@ -310,7 +310,7 @@ func TestFleetMidFlightKillFailover(t *testing.T) {
 	// session never lands on it (its ring slots are gone after MarkDown).
 	for i := 0; i < 5; i++ {
 		b2, id2 := openVia(t, g, flight)
-		if rep, _ := g.Placement(id2); rep == owner {
+		if rep, _ := placement(g, id2); rep == owner {
 			t.Fatalf("new session %s placed on killed replica", id2)
 		}
 		hdo(t, g, "POST", b2+"/frames", api.FramesRequest{Close: true})
@@ -346,7 +346,7 @@ func TestFleetDrainEvacuation(t *testing.T) {
 	for _, r := range reqs[:k] {
 		decode[api.FramesResponse](t, hdo(t, g, "POST", base+"/frames", r), http.StatusOK)
 	}
-	owner, _ := g.Placement(gwID)
+	owner, _ := placement(g, gwID)
 
 	// Drain the owning replica (graceful: journal export keeps working).
 	for _, r := range reps {
@@ -362,7 +362,7 @@ func TestFleetDrainEvacuation(t *testing.T) {
 	// traffic driving it.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if rep, _ := g.Placement(gwID); rep != owner {
+		if rep, _ := placement(g, gwID); rep != owner {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -412,7 +412,7 @@ func TestFleetPartitionFailover(t *testing.T) {
 	for _, r := range reqs[:2] {
 		decode[api.FramesResponse](t, hdo(t, g, "POST", base+"/frames", r), http.StatusOK)
 	}
-	owner, _ := g.Placement(gwID)
+	owner, _ := placement(g, gwID)
 	for _, r := range reps {
 		if r.name == owner {
 			faultPlane.Partition(r.host())
@@ -424,7 +424,7 @@ func TestFleetPartitionFailover(t *testing.T) {
 	// Next chunk: transport reset → failover via the journal directory
 	// (the live export is behind the same partition).
 	decode[api.FramesResponse](t, hdo(t, g, "POST", base+"/frames", reqs[2]), http.StatusOK)
-	after, _ := g.Placement(gwID)
+	after, _ := placement(g, gwID)
 	if after == owner {
 		t.Fatal("session not migrated off partitioned replica")
 	}
@@ -483,4 +483,15 @@ func TestFleetMetricNamesBounded(t *testing.T) {
 	for _, base := range bases {
 		decode[api.FramesResponse](t, hdo(t, g, "POST", base+"/frames", api.FramesRequest{Close: true}), http.StatusOK)
 	}
+}
+
+// placement reports which replica currently holds a gateway session.
+func placement(g *Gateway, gwID string) (replica string, ok bool) {
+	rt, ok := g.lookupRoute(gwID)
+	if !ok {
+		return "", false
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.replica, true
 }

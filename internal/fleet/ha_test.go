@@ -90,7 +90,7 @@ func TestFleetFollowerCopyFailover(t *testing.T) {
 		decode[api.FramesResponse](t, hdo(t, g, "POST", base+"/frames", r), http.StatusOK)
 	}
 
-	owner, ok := g.Placement(gwID)
+	owner, ok := placement(g, gwID)
 	if !ok {
 		t.Fatalf("no placement for %s", gwID)
 	}
@@ -115,7 +115,7 @@ func TestFleetFollowerCopyFailover(t *testing.T) {
 	if !resent.Duplicate {
 		t.Fatalf("resend after kill+wipe: %+v, want Duplicate (acknowledged prefix lost)", resent)
 	}
-	if after, _ := g.Placement(gwID); after == owner {
+	if after, _ := placement(g, gwID); after == owner {
 		t.Fatalf("session still placed on killed replica %s", owner)
 	}
 	if got := failoverFromFollower.Value(); got != fromFollowerBefore+1 {
@@ -170,7 +170,7 @@ func TestFleetRejoinRebalance(t *testing.T) {
 		if !ok {
 			t.Fatalf("no ring home for %s", id)
 		}
-		placed, _ := g.Placement(id)
+		placed, _ := placement(g, id)
 		if placed != home {
 			t.Fatalf("session %s placed on %s, home %s: all replicas healthy, placement should be home", id, placed, home)
 		}
@@ -192,7 +192,7 @@ func TestFleetRejoinRebalance(t *testing.T) {
 			continue
 		}
 		for {
-			if rep, _ := g.Placement(s.id); rep != victim {
+			if rep, _ := placement(g, s.id); rep != victim {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -211,7 +211,7 @@ func TestFleetRejoinRebalance(t *testing.T) {
 			continue
 		}
 		for {
-			if rep, _ := g.Placement(s.id); rep == victim {
+			if rep, _ := placement(g, s.id); rep == victim {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -230,7 +230,7 @@ func TestFleetRejoinRebalance(t *testing.T) {
 		if s.home == victim {
 			continue
 		}
-		if rep, _ := g.Placement(s.id); rep != s.placed {
+		if rep, _ := placement(g, s.id); rep != s.placed {
 			t.Errorf("session %s (home %s) moved %s -> %s during a rejoin that was not its own",
 				s.id, s.home, s.placed, rep)
 		}
@@ -330,7 +330,7 @@ func TestGatewayStandbyTakeover(t *testing.T) {
 	if !resent.Duplicate {
 		t.Fatalf("resend through standby: %+v, want Duplicate (ack state lost across takeover)", resent)
 	}
-	if _, ok := g2.Placement(gwID); !ok {
+	if _, ok := placement(g2, gwID); !ok {
 		t.Fatalf("standby lost placement for %s", gwID)
 	}
 	for _, r := range reqs[k:] {
@@ -410,7 +410,7 @@ func TestGatewayParkedSession(t *testing.T) {
 	}
 	// The session is parked, not forgotten: still tracked, still
 	// addressable, same answer on the read side.
-	if _, ok := g2.Placement(gwID); !ok {
+	if _, ok := placement(g2, gwID); !ok {
 		t.Error("parked session dropped from routing")
 	}
 	if w := hdo(t, g2, "GET", base+"/status", nil); w.Code != http.StatusServiceUnavailable {
@@ -451,7 +451,7 @@ func TestStateCheckpointRoundTrip(t *testing.T) {
 		if rs.GwID != wantID {
 			t.Errorf("route %d gw_id = %q, want %q (sorted order)", i, rs.GwID, wantID)
 		}
-		placed, _ := g.Placement(rs.GwID)
+		placed, _ := placement(g, rs.GwID)
 		if rs.Replica != placed {
 			t.Errorf("route %s checkpointed on %s, live placement %s", rs.GwID, rs.Replica, placed)
 		}

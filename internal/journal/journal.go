@@ -261,9 +261,6 @@ type Session struct {
 	chunks *os.File
 }
 
-// ID returns the session id this handle journals.
-func (sj *Session) ID() string { return sj.id }
-
 // WriteMeta atomically replaces the session's meta snapshot.
 func (sj *Session) WriteMeta(m Meta) error {
 	sj.mu.Lock()

@@ -47,13 +47,24 @@ func TestFilterConvergesOnConstant(t *testing.T) {
 	}
 }
 
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *mathx.Matrix {
+	m := mathx.NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
 // Tracking a constant-velocity target with a position-only measurement:
 // the classic 2-state problem. The filter must recover the velocity.
 func TestFilterRecoversVelocityFromPosition(t *testing.T) {
 	dt := 0.1
-	F := mathx.MustFromRows([][]float64{{1, dt}, {0, 1}})
-	Q := mathx.MustFromRows([][]float64{{1e-5, 0}, {0, 1e-5}})
-	H := mathx.MustFromRows([][]float64{{1, 0}})
+	F := fromRows([][]float64{{1, dt}, {0, 1}})
+	Q := fromRows([][]float64{{1e-5, 0}, {0, 1e-5}})
+	H := fromRows([][]float64{{1, 0}})
 	R := mathx.Diag(0.04)
 	f, err := NewFilter([]float64{0, 0}, mathx.Diag(1, 1))
 	if err != nil {
@@ -100,9 +111,9 @@ func TestFilterCovarianceStaysSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	F := mathx.MustFromRows([][]float64{{1, 0.1, 0}, {0, 1, 0.1}, {0, 0, 1}})
+	F := fromRows([][]float64{{1, 0.1, 0}, {0, 1, 0.1}, {0, 0, 1}})
 	Q := mathx.Diag(0.01, 0.01, 0.01)
-	H := mathx.MustFromRows([][]float64{{1, 0, 0}, {0, 1, 0}})
+	H := fromRows([][]float64{{1, 0, 0}, {0, 1, 0}})
 	R := mathx.Diag(0.1, 0.1)
 	for i := 0; i < 100; i++ {
 		if err := f.Predict(F, nil, nil, Q); err != nil {
@@ -131,8 +142,8 @@ func TestVelocityEstimatorModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.Mode() != mode {
-				t.Errorf("Mode() = %v", e.Mode())
+			if e.cfg.Mode != mode {
+				t.Errorf("mode = %v", e.cfg.Mode)
 			}
 			// Constant 1 m/s^2 north acceleration on both streams for 2 s.
 			a := mathx.Vec3{X: 1}
@@ -318,13 +329,16 @@ func TestCovarianceAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0 := e.Covariance()
+	covariance := func() mathx.Vec3 {
+		return mathx.Vec3{X: e.filter.P.At(0, 0), Y: e.filter.P.At(1, 1), Z: e.filter.P.At(2, 2)}
+	}
+	c0 := covariance()
 	for i := 0; i < 50; i++ {
 		if err := e.Step(mathx.Vec3{}, mathx.Vec3{}, 0.01); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c1 := e.Covariance()
+	c1 := covariance()
 	if !(c1.X < c0.X && c1.Y < c0.Y && c1.Z < c0.Z) {
 		t.Errorf("covariance did not shrink: %v -> %v", c0, c1)
 	}

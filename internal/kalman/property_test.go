@@ -32,9 +32,9 @@ func TestFilterCovariancePSDProperty(t *testing.T) {
 				}
 			}
 		}
-		Q := mathx.Identity(n).Scale(0.01 + rng.Float64()*0.1)
+		Q := scaledIdentity(n, 0.01+rng.Float64()*0.1)
 		H := mathx.Identity(n)
-		R := mathx.Identity(n).Scale(0.1 + rng.Float64())
+		R := scaledIdentity(n, 0.1+rng.Float64())
 		for step := 0; step < 50; step++ {
 			if err := filt.Predict(F, nil, nil, Q); err != nil {
 				return false
@@ -110,4 +110,13 @@ func TestVelocityEstimatorLinearityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// scaledIdentity returns s·I of size n.
+func scaledIdentity(n int, s float64) *mathx.Matrix {
+	m := mathx.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, s)
+	}
+	return m
 }

@@ -178,11 +178,3 @@ func (e *VelocityEstimator) Step(audioAccelNED, imuAccelNED mathx.Vec3, dt float
 func (e *VelocityEstimator) Velocity() mathx.Vec3 {
 	return mathx.Vec3{X: e.filter.X[0], Y: e.filter.X[1], Z: e.filter.X[2]}
 }
-
-// Covariance returns the current covariance diagonal.
-func (e *VelocityEstimator) Covariance() mathx.Vec3 {
-	return mathx.Vec3{X: e.filter.P.At(0, 0), Y: e.filter.P.At(1, 1), Z: e.filter.P.At(2, 2)}
-}
-
-// Mode returns the estimator's configuration mode.
-func (e *VelocityEstimator) Mode() Mode { return e.cfg.Mode }

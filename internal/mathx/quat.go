@@ -106,14 +106,3 @@ func (q Quat) Integrate(omega Vec3, dt float64) Quat {
 	dq := QuatFromAxisAngle(omega, angle)
 	return q.Mul(dq).Normalized()
 }
-
-// RotationMatrix returns the 3x3 rotation matrix equivalent of q
-// (body → world).
-func (q Quat) RotationMatrix() Mat3 {
-	w, x, y, z := q.W, q.X, q.Y, q.Z
-	return Mat3{
-		{1 - 2*(y*y+z*z), 2 * (x*y - w*z), 2 * (x*z + w*y)},
-		{2 * (x*y + w*z), 1 - 2*(x*x+z*z), 2 * (y*z - w*x)},
-		{2 * (x*z - w*y), 2 * (y*z + w*x), 1 - 2*(x*x+y*y)},
-	}
-}

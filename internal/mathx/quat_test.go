@@ -129,16 +129,6 @@ func TestQuatIntegrateZeroRate(t *testing.T) {
 	}
 }
 
-func TestQuatRotationMatrixAgrees(t *testing.T) {
-	q := QuatFromEuler(0.4, -0.3, 0.9)
-	v := Vec3{0.5, -1.5, 2.5}
-	got := q.RotationMatrix().MulVec(v)
-	want := q.Rotate(v)
-	if !vecApproxEq(got, want, 1e-9) {
-		t.Errorf("rotation matrix %v, quaternion %v", got, want)
-	}
-}
-
 func TestQuatNormalizedZero(t *testing.T) {
 	q := Quat{}
 	if got := q.Normalized(); got != IdentityQuat() {

@@ -1,10 +1,10 @@
 // Package mathx provides the small linear-algebra toolkit used across the
-// SoundBoost reproduction: 3-vectors, 3x3 matrices, quaternions, and dense
-// NxN matrix routines (inversion, Cholesky, least squares) required by the
-// Kalman filters and the LTI system-identification baseline.
+// SoundBoost reproduction: 3-vectors, quaternions, and dense NxN matrix
+// routines (inversion, least squares) required by the Kalman filters and
+// the LTI system-identification baseline.
 //
 // Everything is stdlib-only and allocation-conscious: the hot paths used by
-// the flight simulator (Vec3, Mat3, Quat) are value types.
+// the flight simulator (Vec3, Quat) are value types.
 package mathx
 
 import (
@@ -106,100 +106,3 @@ func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Clamp returns x clamped to [lo, hi].
 func Clamp(x, lo, hi float64) float64 { return clamp(x, lo, hi) }
-
-// Mat3 is a 3x3 matrix in row-major order.
-type Mat3 [3][3]float64
-
-// Identity3 returns the 3x3 identity matrix.
-func Identity3() Mat3 {
-	return Mat3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-}
-
-// MulVec returns m*v.
-func (m Mat3) MulVec(v Vec3) Vec3 {
-	return Vec3{
-		X: m[0][0]*v.X + m[0][1]*v.Y + m[0][2]*v.Z,
-		Y: m[1][0]*v.X + m[1][1]*v.Y + m[1][2]*v.Z,
-		Z: m[2][0]*v.X + m[2][1]*v.Y + m[2][2]*v.Z,
-	}
-}
-
-// Mul returns the matrix product m*n.
-func (m Mat3) Mul(n Mat3) Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			s := 0.0
-			for k := 0; k < 3; k++ {
-				s += m[i][k] * n[k][j]
-			}
-			out[i][j] = s
-		}
-	}
-	return out
-}
-
-// Transpose returns the transpose of m.
-func (m Mat3) Transpose() Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			out[i][j] = m[j][i]
-		}
-	}
-	return out
-}
-
-// Scale returns s*m.
-func (m Mat3) Scale(s float64) Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			out[i][j] = s * m[i][j]
-		}
-	}
-	return out
-}
-
-// Add returns m+n.
-func (m Mat3) Add(n Mat3) Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			out[i][j] = m[i][j] + n[i][j]
-		}
-	}
-	return out
-}
-
-// Det returns the determinant of m.
-func (m Mat3) Det() float64 {
-	return m[0][0]*(m[1][1]*m[2][2]-m[1][2]*m[2][1]) -
-		m[0][1]*(m[1][0]*m[2][2]-m[1][2]*m[2][0]) +
-		m[0][2]*(m[1][0]*m[2][1]-m[1][1]*m[2][0])
-}
-
-// Inverse returns the inverse of m. ok is false when m is singular
-// (|det| below 1e-12), in which case the returned matrix is unspecified.
-func (m Mat3) Inverse() (inv Mat3, ok bool) {
-	d := m.Det()
-	if math.Abs(d) < 1e-12 {
-		return Mat3{}, false
-	}
-	id := 1 / d
-	inv[0][0] = (m[1][1]*m[2][2] - m[1][2]*m[2][1]) * id
-	inv[0][1] = (m[0][2]*m[2][1] - m[0][1]*m[2][2]) * id
-	inv[0][2] = (m[0][1]*m[1][2] - m[0][2]*m[1][1]) * id
-	inv[1][0] = (m[1][2]*m[2][0] - m[1][0]*m[2][2]) * id
-	inv[1][1] = (m[0][0]*m[2][2] - m[0][2]*m[2][0]) * id
-	inv[1][2] = (m[0][2]*m[1][0] - m[0][0]*m[1][2]) * id
-	inv[2][0] = (m[1][0]*m[2][1] - m[1][1]*m[2][0]) * id
-	inv[2][1] = (m[0][1]*m[2][0] - m[0][0]*m[2][1]) * id
-	inv[2][2] = (m[0][0]*m[1][1] - m[0][1]*m[1][0]) * id
-	return inv, true
-}
-
-// Diag3 returns a diagonal matrix with the given entries.
-func Diag3(a, b, c float64) Mat3 {
-	return Mat3{{a, 0, 0}, {0, b, 0}, {0, 0, c}}
-}

@@ -124,54 +124,6 @@ func clampForQuick(x float64) float64 {
 	return math.Mod(x, 1e6)
 }
 
-func TestMat3MulVec(t *testing.T) {
-	m := Mat3{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
-	got := m.MulVec(Vec3{1, 0, -1})
-	want := Vec3{-2, -2, -2}
-	if !vecApproxEq(got, want, eps) {
-		t.Errorf("MulVec = %v, want %v", got, want)
-	}
-}
-
-func TestMat3Inverse(t *testing.T) {
-	m := Mat3{{2, 0, 0}, {0, 4, 0}, {1, 0, 8}}
-	inv, ok := m.Inverse()
-	if !ok {
-		t.Fatal("Inverse() reported singular for invertible matrix")
-	}
-	prod := m.Mul(inv)
-	id := Identity3()
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if !approxEq(prod[i][j], id[i][j], 1e-9) {
-				t.Errorf("m*m^-1[%d][%d] = %v, want %v", i, j, prod[i][j], id[i][j])
-			}
-		}
-	}
-}
-
-func TestMat3InverseSingular(t *testing.T) {
-	m := Mat3{{1, 2, 3}, {2, 4, 6}, {0, 0, 1}}
-	if _, ok := m.Inverse(); ok {
-		t.Error("Inverse() succeeded on a singular matrix")
-	}
-}
-
-func TestMat3TransposeInvolution(t *testing.T) {
-	m := Mat3{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
-	if got := m.Transpose().Transpose(); got != m {
-		t.Errorf("double transpose = %v, want %v", got, m)
-	}
-}
-
-func TestDiag3(t *testing.T) {
-	d := Diag3(1, 2, 3)
-	got := d.MulVec(Vec3{1, 1, 1})
-	if !vecApproxEq(got, Vec3{1, 2, 3}, eps) {
-		t.Errorf("Diag3 mul = %v", got)
-	}
-}
-
 func TestClampScalar(t *testing.T) {
 	tests := []struct {
 		x, lo, hi, want float64

@@ -212,16 +212,6 @@ func (b *Bus) Dropped() int {
 	return b.dropped
 }
 
-// DroppedTopic reports how many messages were shed on one topic.
-func (b *Bus) DroppedTopic(topic string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if ts, ok := b.topics[topic]; ok {
-		return ts.dropped
-	}
-	return 0
-}
-
 // Close shuts the bus; all subscription channels are closed. Close is
 // idempotent and safe against concurrent Cancel calls.
 func (b *Bus) Close() {
@@ -237,18 +227,6 @@ func (b *Bus) Close() {
 		}
 	}
 	b.subs = make(map[string][]*Subscription)
-}
-
-// Topics returns the replayable topic names (sorted insertion is not
-// guaranteed; callers sort if needed).
-func (b *Bus) Topics() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.replay))
-	for t := range b.replay {
-		out = append(out, t)
-	}
-	return out
 }
 
 // String implements fmt.Stringer for diagnostics.

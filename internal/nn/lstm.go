@@ -252,21 +252,3 @@ func TrainLSTM(l *LSTM, seqs [][][]float64, targets [][]float64, cfg TrainConfig
 	}
 	return hist, nil
 }
-
-// LSTMMSE evaluates mean squared prediction error over sequences.
-func LSTMMSE(l *LSTM, seqs [][][]float64, targets [][]float64) float64 {
-	if len(seqs) == 0 {
-		return 0
-	}
-	var total float64
-	var count int
-	for i, s := range seqs {
-		pred := l.Forward(s)
-		for j, p := range pred {
-			d := p - targets[i][j]
-			total += d * d
-			count++
-		}
-	}
-	return total / float64(count)
-}

@@ -124,10 +124,6 @@ func (n *Net32) widest(in int) int {
 	return max
 }
 
-// InDim and OutDim report the compiled input/output widths.
-func (n *Net32) InDim() int  { return n.in }
-func (n *Net32) OutDim() int { return n.out }
-
 // Infer runs one sample through the program and returns a fresh output
 // slice. It is safe for concurrent use; all intermediate activations
 // live on pooled scratch.

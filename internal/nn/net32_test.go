@@ -29,8 +29,8 @@ func TestCompile32MatchesFloat64(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", kind, err)
 		}
-		if n32.InDim() != 12 || n32.OutDim() != 3 {
-			t.Fatalf("%s: dims %d->%d, want 12->3", kind, n32.InDim(), n32.OutDim())
+		if n32.in != 12 || n32.out != 3 {
+			t.Fatalf("%s: dims %d->%d, want 12->3", kind, n32.in, n32.out)
 		}
 		for trial := 0; trial < 50; trial++ {
 			x := make([]float64, 12)

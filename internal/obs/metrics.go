@@ -10,16 +10,7 @@ import (
 // is unusable; obtain counters from a Registry. A nil Counter is a
 // valid no-op handle.
 type Counter struct {
-	name string
-	v    atomic.Int64
-}
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
+	v atomic.Int64
 }
 
 // Add increments the counter by n when the layer is enabled.
@@ -44,16 +35,7 @@ func (c *Counter) Value() int64 {
 // Gauge is an instantaneous float64 value (queue depth, utilization,
 // configuration). A nil Gauge is a valid no-op handle.
 type Gauge struct {
-	name string
 	bits atomic.Uint64
-}
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }
 
 // Set stores v when the layer is enabled.
@@ -129,14 +111,6 @@ func newHistogram(name string) *Histogram {
 	h.minBits.Store(math.Float64bits(math.Inf(1)))
 	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
 	return h
-}
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
 }
 
 // bucketIndex maps a value to its bucket.
@@ -277,14 +251,6 @@ type Timer struct {
 	h *Histogram
 }
 
-// Name returns the timer's registered name.
-func (t *Timer) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.h.Name()
-}
-
 // Start opens a timing span. On the disabled path it returns the zero
 // Span, whose Stop is a no-op — the cost is one atomic load.
 func (t *Timer) Start() Span {
@@ -300,30 +266,6 @@ func (t *Timer) Observe(d time.Duration) {
 		return
 	}
 	t.h.Observe(d.Seconds())
-}
-
-// Count returns the number of recorded spans.
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.h.Count()
-}
-
-// TotalSeconds returns the accumulated stage time.
-func (t *Timer) TotalSeconds() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.h.Sum()
-}
-
-// Quantile estimates a duration quantile in seconds.
-func (t *Timer) Quantile(q float64) float64 {
-	if t == nil {
-		return 0
-	}
-	return t.h.Quantile(q)
 }
 
 // Span is one in-flight stage measurement. The zero Span is valid and

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -34,7 +33,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -46,7 +45,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -141,18 +140,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Timers[name] = t.h.stats()
 	}
 	return s
-}
-
-// TimerNames returns the registered timer names in sorted order.
-func (r *Registry) TimerNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.timers))
-	for name := range r.timers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON writes the registry snapshot to w as indented JSON.

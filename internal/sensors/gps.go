@@ -70,9 +70,6 @@ func NewGPS(cfg GPSConfig, rng *rand.Rand) *GPS {
 // SetInterceptor installs (or clears, with nil) the attack hook.
 func (g *GPS) SetInterceptor(i GPSInterceptor) { g.interceptor = i }
 
-// SampleRate returns the fix rate in Hz.
-func (g *GPS) SampleRate() float64 { return g.cfg.SampleRate }
-
 // Due reports whether a new fix should be produced at time t.
 func (g *GPS) Due(t float64) bool {
 	if !g.hasFixed {

@@ -120,9 +120,6 @@ func (s *IMU) SetVibration(level float64) { s.vibration = level }
 // SetInterceptor installs (or clears, with nil) the attack hook.
 func (s *IMU) SetInterceptor(i IMUInterceptor) { s.interceptor = i }
 
-// SampleRate returns the configured output rate in Hz.
-func (s *IMU) SampleRate() float64 { return s.cfg.SampleRate }
-
 // Due reports whether a new sample should be produced at time t.
 func (s *IMU) Due(t float64) bool {
 	if !s.hasSampled {

@@ -318,6 +318,10 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	httpErrors.Inc()
 	status, code := http.StatusInternalServerError, api.CodeInternal
 	switch {
+	case isMaxBytes(err):
+		// First: an oversized upload is 413 even when it surfaces
+		// wrapped as unprocessable (a truncated flight body).
+		status, code = http.StatusRequestEntityTooLarge, api.CodeBadRequest
 	case errors.Is(err, faults.ErrSessionNotFound):
 		status, code = http.StatusNotFound, api.CodeNotFound
 	case errors.Is(err, faults.ErrSessionFailed):
@@ -337,8 +341,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
 	case errors.Is(err, errShuttingDown):
 		status, code = http.StatusServiceUnavailable, api.CodeShuttingDown
-	case isMaxBytes(err):
-		status, code = http.StatusRequestEntityTooLarge, api.CodeBadRequest
 	}
 	s.writeJSON(w, status, api.Error{Code: code, Error: err.Error()})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -244,43 +243,25 @@ func (s *session) publish(req api.FramesRequest, body []byte) (accepted int, dup
 // publishEvents merges and publishes one request's events (no sequence
 // or journal bookkeeping — publish and recovery replay share it).
 func (s *session) publishEvents(req api.FramesRequest) (int, error) {
-	type event struct {
-		t   float64
-		msg mavbus.Message
+	audio := make([]stream.AudioFrame, len(req.Audio))
+	for i, f := range req.Audio {
+		audio[i] = f.ToStream()
 	}
-	events := make([]event, 0, len(req.Audio)+len(req.IMU)+len(req.GPS))
-	for _, f := range req.Audio {
-		frame := f.ToStream()
-		endT := frame.Start
-		if frame.Rate > 0 && len(frame.Samples) > 0 {
-			endT += float64(len(frame.Samples[0])) / frame.Rate
-		}
-		events = append(events, event{
-			t:   endT, // a frame exists once its last sample is captured
-			msg: mavbus.Message{Topic: stream.TopicAudio, Time: endT, Payload: frame},
-		})
+	imu := make([]stream.IMUSample, len(req.IMU))
+	for i, smp := range req.IMU {
+		imu[i] = smp.ToStream()
 	}
-	for _, sample := range req.IMU {
-		imu := sample.ToStream()
-		events = append(events, event{
-			t:   imu.Time,
-			msg: mavbus.Message{Topic: stream.TopicIMU, Time: imu.Time, Payload: imu},
-		})
+	gps := make([]stream.GPSSample, len(req.GPS))
+	for i, smp := range req.GPS {
+		gps[i] = smp.ToStream()
 	}
-	for _, sample := range req.GPS {
-		gps := sample.ToStream()
-		events = append(events, event{
-			t:   gps.Time,
-			msg: mavbus.Message{Topic: stream.TopicGPS, Time: gps.Time, Payload: gps},
-		})
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].t < events[j].t })
-	for i, ev := range events {
-		if err := s.pub(ev.msg); err != nil {
+	msgs := stream.Merge(audio, imu, gps)
+	for i, msg := range msgs {
+		if err := s.pub(msg); err != nil {
 			return i, err
 		}
 	}
-	return len(events), nil
+	return len(msgs), nil
 }
 
 // newEngine builds a session's engine from its request: the analyzer at

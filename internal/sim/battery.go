@@ -66,8 +66,6 @@ type Battery struct {
 	cfg  BatteryConfig
 	soc  float64
 	time float64
-	// lastPower is the most recent electrical draw (W), for telemetry.
-	lastPower float64
 }
 
 // NewBattery builds a battery after validating the config.
@@ -77,15 +75,6 @@ func NewBattery(cfg BatteryConfig) (*Battery, error) {
 	}
 	return &Battery{cfg: cfg, soc: cfg.InitialSoC}, nil
 }
-
-// SoC returns the current state of charge in [0, 1].
-func (b *Battery) SoC() float64 { return b.soc }
-
-// Power returns the last electrical draw in watts.
-func (b *Battery) Power() float64 { return b.lastPower }
-
-// Critical reports whether the pack is below the critical level.
-func (b *Battery) Critical() bool { return b.soc < b.cfg.CriticalSoC }
 
 // cellVoltage approximates a LiPo discharge curve per cell.
 func (b *Battery) cellVoltage() float64 {
@@ -100,7 +89,6 @@ func (b *Battery) cellVoltage() float64 {
 // is derated, including low-battery ripple.
 func (b *Battery) Step(mechPower, dt float64) float64 {
 	elec := mechPower / b.cfg.MotorEfficiency
-	b.lastPower = elec
 	drain := elec * dt / 3600 / b.cfg.CapacityWh
 	b.soc -= drain
 	if b.soc < 0 {

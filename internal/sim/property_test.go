@@ -85,23 +85,3 @@ func clampQ(x float64) float64 {
 	}
 	return math.Mod(x, 1e6)
 }
-
-// Property: the paper's core physical coupling — more rotor speed means
-// both more thrust (more negative specific force z) and more sound. Tested
-// on the dynamics half here; the acoustics half lives in the acoustics
-// package tests.
-func TestThrustMonotoneInRotorSpeedProperty(t *testing.T) {
-	cfg := DefaultVehicleConfig()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		w1 := cfg.MinMotorSpeed + rng.Float64()*(cfg.MaxMotorSpeed-cfg.MinMotorSpeed)
-		w2 := cfg.MinMotorSpeed + rng.Float64()*(cfg.MaxMotorSpeed-cfg.MinMotorSpeed)
-		if w1 > w2 {
-			w1, w2 = w2, w1
-		}
-		return cfg.MotorThrust(w1) <= cfg.MotorThrust(w2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

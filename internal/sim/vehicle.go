@@ -94,11 +94,6 @@ func (c VehicleConfig) HoverMotorSpeed() float64 {
 	return math.Sqrt(c.Mass * gravity / (NumMotors * c.ThrustCoeff))
 }
 
-// MotorThrust returns the thrust (N) produced at motor speed w (rad/s).
-func (c VehicleConfig) MotorThrust(w float64) float64 {
-	return c.ThrustCoeff * w * w
-}
-
 // MotorPosition returns the body-frame position of motor i for the quad-X
 // layout. Motor order: 0 front-right, 1 rear-left, 2 front-left,
 // 3 rear-right (PX4 numbering). NED body frame: +x forward, +y right.
@@ -168,9 +163,6 @@ func NewDynamics(cfg VehicleConfig) (*Dynamics, error) {
 	}
 	return &Dynamics{cfg: cfg}, nil
 }
-
-// Config returns the vehicle configuration.
-func (d *Dynamics) Config() VehicleConfig { return d.cfg }
 
 // Step advances the state by dt seconds given per-motor speed commands
 // (rad/s) and the current world-frame wind velocity (m/s). It uses

@@ -59,6 +59,3 @@ func (w *Wind) Step(dt float64) mathx.Vec3 {
 	}
 	return w.cfg.Mean.Add(w.gust)
 }
-
-// Current returns the wind vector without advancing the process.
-func (w *Wind) Current() mathx.Vec3 { return w.cfg.Mean.Add(w.gust) }

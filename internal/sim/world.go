@@ -150,18 +150,9 @@ func (w *World) IMUSensor() *sensors.IMU { return w.imu }
 // GPSSensor exposes the GPS for attack installation.
 func (w *World) GPSSensor() *sensors.GPS { return w.gps }
 
-// State returns the current ground-truth state.
-func (w *World) State() State { return w.state }
-
-// Battery exposes the battery model (nil when disabled).
-func (w *World) Battery() *Battery { return w.battery }
-
 // SetActuatorInterceptor installs (or clears, with nil) the actuator
 // attack hook.
 func (w *World) SetActuatorInterceptor(a ActuatorInterceptor) { w.actuator = a }
-
-// Nav returns the autopilot's current state estimate.
-func (w *World) Nav() NavState { return w.est.Nav() }
 
 // Run flies the mission and returns one StepRecord per physics step.
 // The vehicle is initialised hovering at the mission's first setpoint.

@@ -67,12 +67,6 @@ func (n Normal) CDF(v float64) float64 {
 	return 0.5 * math.Erfc(-(v-n.Mu)/(n.Sigma*math.Sqrt2))
 }
 
-// PDF evaluates the probability density function at v.
-func (n Normal) PDF(v float64) float64 {
-	z := (v - n.Mu) / n.Sigma
-	return math.Exp(-z*z/2) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
-
 // KSResult is the outcome of a one-sample Kolmogorov-Smirnov test.
 type KSResult struct {
 	// Statistic is the maximum CDF deviation D_n.
@@ -82,10 +76,6 @@ type KSResult struct {
 	// N is the sample count.
 	N int
 }
-
-// Reject reports whether H0 (samples drawn from the reference) is rejected
-// at significance level alpha.
-func (r KSResult) Reject(alpha float64) bool { return r.PValue < alpha }
 
 // KSTestNormal runs a one-sample KS test of samples against the reference
 // normal distribution. This is SoundBoost's IMU attack decision: benign
@@ -245,12 +235,6 @@ func (r *RunningMean) Add(v float64) float64 {
 // Mean returns the current mean.
 func (r *RunningMean) Mean() float64 { return r.mean }
 
-// Count returns the number of samples seen.
-func (r *RunningMean) Count() int { return r.count }
-
-// Reset clears the accumulator.
-func (r *RunningMean) Reset() { r.mean = 0; r.count = 0 }
-
 // Histogram bins samples uniformly over [lo, hi]; used to regenerate the
 // residual-distribution figures (Fig. 6).
 type Histogram struct {
@@ -283,9 +267,6 @@ func (h *Histogram) Add(v float64) {
 	h.Counts[idx]++
 	h.total++
 }
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int { return h.total }
 
 // BinCenter returns the center value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {

@@ -88,10 +88,28 @@ func (c ReplayConfig) withDefaults() ReplayConfig {
 	return c
 }
 
-// replayEvent is one timed publication.
-type replayEvent struct {
-	t   float64
-	msg mavbus.Message
+// Merge orders one batch of stream input into the message sequence the
+// engine consumes: stable by time, each audio frame stamped when its
+// last sample is captured, and at equal times audio before IMU before
+// GPS. Replay and the server's frames route both publish through it, so
+// a chunked upload reproduces the replayed stream exactly.
+func Merge(audio []AudioFrame, imu []IMUSample, gps []GPSSample) []mavbus.Message {
+	msgs := make([]mavbus.Message, 0, len(audio)+len(imu)+len(gps))
+	for _, f := range audio {
+		end := f.Start
+		if f.Rate > 0 && len(f.Samples) > 0 {
+			end += float64(len(f.Samples[0])) / f.Rate
+		}
+		msgs = append(msgs, mavbus.Message{Topic: TopicAudio, Time: end, Payload: f})
+	}
+	for _, s := range imu {
+		msgs = append(msgs, mavbus.Message{Topic: TopicIMU, Time: s.Time, Payload: s})
+	}
+	for _, s := range gps {
+		msgs = append(msgs, mavbus.Message{Topic: TopicGPS, Time: s.Time, Payload: s})
+	}
+	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].Time < msgs[j].Time })
+	return msgs
 }
 
 // Replay publishes a recorded flight onto the bus as the live streams the
@@ -109,57 +127,40 @@ func Replay(ctx context.Context, bus *mavbus.Bus, f *dataset.Flight, cfg ReplayC
 	rate := f.Audio.SampleRate
 	frameN := FrameLen(cfg.FrameSeconds, rate)
 
-	var events []replayEvent
 	total := f.Audio.Samples()
+	audio := make([]AudioFrame, 0, (total+frameN-1)/frameN)
 	for o := 0; o < total; o += frameN {
-		end := o + frameN
-		if end > total {
-			end = total
-		}
+		end := min(o+frameN, total)
 		samples := make([][]float64, acoustics.NumMics)
 		for m := range samples {
 			samples[m] = f.Audio.Channels[m][o:end]
 		}
-		frame := AudioFrame{Start: float64(o) / rate, Rate: rate, Samples: samples}
-		endT := float64(end) / rate
-		events = append(events, replayEvent{
-			t:   endT, // a frame exists once its last sample is captured
-			msg: mavbus.Message{Topic: TopicAudio, Time: endT, Payload: frame},
-		})
+		audio = append(audio, AudioFrame{Start: float64(o) / rate, Rate: rate, Samples: samples})
 	}
-	for _, s := range f.Telemetry {
-		events = append(events, replayEvent{
-			t: s.Time,
-			msg: mavbus.Message{Topic: TopicIMU, Time: s.Time, Payload: IMUSample{
-				Time: s.Time, Accel: s.IMUAccel, Gyro: s.IMUGyro, Att: s.EstAtt,
-			}},
-		})
-		events = append(events, replayEvent{
-			t: s.Time,
-			msg: mavbus.Message{Topic: TopicGPS, Time: s.Time, Payload: GPSSample{
-				Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel,
-			}},
-		})
+	imu := make([]IMUSample, len(f.Telemetry))
+	gps := make([]GPSSample, len(f.Telemetry))
+	for i, s := range f.Telemetry {
+		imu[i] = IMUSample{Time: s.Time, Accel: s.IMUAccel, Gyro: s.IMUGyro, Att: s.EstAtt}
+		gps[i] = GPSSample{Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel}
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].t < events[j].t })
 
 	inj := cfg.injector()
 	pub := inj.Publisher(bus.Publish)
 	prev := 0.0
-	for _, ev := range events {
-		if cfg.Speed > 0 && ev.t > prev {
-			d := time.Duration(float64(time.Second) * (ev.t - prev) / cfg.Speed)
+	for _, msg := range Merge(audio, imu, gps) {
+		if cfg.Speed > 0 && msg.Time > prev {
+			d := time.Duration(float64(time.Second) * (msg.Time - prev) / cfg.Speed)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
 			case <-time.After(d):
 			}
-			prev = ev.t
+			prev = msg.Time
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := pub(ev.msg); err != nil {
+		if err := pub(msg); err != nil {
 			return err
 		}
 	}

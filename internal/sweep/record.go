@@ -153,30 +153,6 @@ func WriteJSONL(w io.Writer, records []Record) error {
 	return nil
 }
 
-// ParseRecords reads a JSONL stream written by WriteJSONL back into
-// records, strictly: unknown fields and any schema version other than
-// the current one are errors, so a consumer built against sweep/v2
-// fails loudly on v1 archives (or a future v3) instead of silently
-// zero-filling the fields that changed.
-func ParseRecords(r io.Reader) ([]Record, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var out []Record
-	for line := 0; ; line++ {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("sweep: record %d: %w", line, err)
-		}
-		if rec.SchemaVersion != SchemaVersion {
-			return nil, fmt.Errorf("sweep: record %d: schema %q (this build reads %q)",
-				line, rec.SchemaVersion, SchemaVersion)
-		}
-		out = append(out, rec)
-	}
-}
-
 // csvHeader is the column order of the per-trial CSV summary.
 var csvHeader = []string{
 	"trial", "flight", "kf", "margin", "triage", "chunk_seconds", "frame_seconds",

@@ -127,32 +127,5 @@ func (mo *Monitor) Step(x, u, xNext []float64) (float64, bool, error) {
 	return mo.accum, mo.alarmed, nil
 }
 
-// Alarmed reports whether the threshold was ever crossed.
-func (mo *Monitor) Alarmed() bool { return mo.alarmed }
-
 // Reset clears the accumulator and alarm state.
 func (mo *Monitor) Reset() { mo.accum = 0; mo.alarmed = false }
-
-// CalibrateThreshold sets the monitor threshold to the maximum accumulator
-// value observed over a benign trajectory, scaled by margin (>1). It leaves
-// the monitor reset.
-func (mo *Monitor) CalibrateThreshold(states, controls [][]float64, margin float64) error {
-	if len(states) < 2 {
-		return fmt.Errorf("sysid: calibration needs at least 2 states")
-	}
-	mo.Reset()
-	mo.Threshold = 1e308 // disable alarm during calibration
-	maxAcc := 0.0
-	for k := 0; k+1 < len(states) && k < len(controls); k++ {
-		acc, _, err := mo.Step(states[k], controls[k], states[k+1])
-		if err != nil {
-			return err
-		}
-		if acc > maxAcc {
-			maxAcc = acc
-		}
-	}
-	mo.Threshold = maxAcc * margin
-	mo.Reset()
-	return nil
-}

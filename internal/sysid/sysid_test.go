@@ -93,6 +93,23 @@ func TestPredictKnownValues(t *testing.T) {
 	}
 }
 
+// calibrate sets the monitor threshold to the peak accumulator value
+// over a benign trajectory, scaled by margin, and leaves it reset.
+func calibrate(t *testing.T, mon *Monitor, states, controls [][]float64, margin float64) {
+	t.Helper()
+	mon.Threshold = 1e308 // no alarm while calibrating
+	peak := 0.0
+	for k := 0; k+1 < len(states); k++ {
+		acc, _, err := mon.Step(states[k], controls[k], states[k+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		peak = math.Max(peak, acc)
+	}
+	mon.Threshold = peak * margin
+	mon.Reset()
+}
+
 func TestMonitorStaysQuietOnMatchingDynamics(t *testing.T) {
 	a := [][]float64{{0.95, 0}, {0, 0.9}}
 	b := [][]float64{{0.3}, {0.7}}
@@ -102,15 +119,13 @@ func TestMonitorStaysQuietOnMatchingDynamics(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := &Monitor{Model: model, Output: 0, Decay: 0.05}
-	if err := mon.CalibrateThreshold(states[:300], controls[:300], 1.3); err != nil {
-		t.Fatal(err)
-	}
+	calibrate(t, mon, states[:300], controls[:300], 1.3)
 	for k := 300; k+1 < len(states); k++ {
 		if _, _, err := mon.Step(states[k], controls[k], states[k+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if mon.Alarmed() {
+	if mon.alarmed {
 		t.Error("monitor alarmed on benign continuation")
 	}
 }
@@ -124,9 +139,7 @@ func TestMonitorAlarmsOnDynamicsChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := &Monitor{Model: model, Output: 0, Decay: 0.05}
-	if err := mon.CalibrateThreshold(states, controls, 1.3); err != nil {
-		t.Fatal(err)
-	}
+	calibrate(t, mon, states, controls, 1.3)
 	// Attack: the observed next state is biased away from the model.
 	aAtk := [][]float64{{0.95, 0}, {0, 0.9}}
 	bAtk := [][]float64{{0.3}, {0.7}}
@@ -138,11 +151,11 @@ func TestMonitorAlarmsOnDynamicsChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !mon.Alarmed() {
+	if !mon.alarmed {
 		t.Error("monitor missed injected deviation")
 	}
 	mon.Reset()
-	if mon.Alarmed() {
+	if mon.alarmed {
 		t.Error("Reset did not clear alarm")
 	}
 }
@@ -158,12 +171,5 @@ func TestMonitorOutputRange(t *testing.T) {
 	mon := &Monitor{Model: model, Output: 5, Threshold: 1}
 	if _, _, err := mon.Step(states[0], controls[0], states[1]); err == nil {
 		t.Error("out-of-range output accepted")
-	}
-}
-
-func TestCalibrateThresholdNeedsData(t *testing.T) {
-	mon := &Monitor{Model: &LTIModel{fitted: true}}
-	if err := mon.CalibrateThreshold(nil, nil, 1.2); err == nil {
-		t.Error("empty calibration accepted")
 	}
 }

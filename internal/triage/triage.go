@@ -406,12 +406,6 @@ func (m *Model) K() int { return m.k }
 // Prototypes returns the stored prototype count.
 func (m *Model) Prototypes() int { return len(m.protos) }
 
-// BenignRadius returns the current confident-benign distance bound.
-func (m *Model) BenignRadius() float64 { return m.benignRadius }
-
-// VoteLimit returns the calibrated anomalous-neighbour tolerance.
-func (m *Model) VoteLimit() int { return m.voteLimit }
-
 // Train fits the screener from labelled windows. The prototype set is a
 // deterministic stratified subsample, K adapts to its size, and the
 // benign radius calibrates to the configured quantile of benign

@@ -280,13 +280,13 @@ func TestClassifyEscalatesOnDoubt(t *testing.T) {
 
 func TestTightenIsOneDirectional(t *testing.T) {
 	m, benign, _ := trainTestModel(t, true)
-	r0 := m.BenignRadius()
+	r0 := m.benignRadius
 	m.Tighten(r0 * 2)
-	if m.BenignRadius() != r0 {
+	if m.benignRadius != r0 {
 		t.Fatal("Tighten widened the radius")
 	}
 	m.Tighten(0)
-	if m.BenignRadius() != 0 {
+	if m.benignRadius != 0 {
 		t.Fatal("Tighten did not lower the radius")
 	}
 	for _, s := range benign {
@@ -319,7 +319,7 @@ func TestModelRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if back.K() != m.K() || back.Prototypes() != m.Prototypes() || back.BenignRadius() != m.BenignRadius() {
+	if back.K() != m.K() || back.Prototypes() != m.Prototypes() || back.benignRadius != m.benignRadius {
 		t.Fatal("round trip changed model parameters")
 	}
 	// Decisions must be identical before and after the round trip.
