@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
-	"unicode/utf8"
+
+	"soundboost/internal/jsonscan"
 )
 
 // DecodeStrict decodes exactly one JSON value from r into v, rejecting
@@ -108,8 +108,8 @@ func lenHint(r io.Reader) int64 {
 // the earlier one left. Every float goes through strconv.ParseFloat, so
 // values are bit-identical.
 func DecodeFrames(body []byte, v *FramesRequest) error {
-	d := decoder{data: body}
-	return d.top(func() error { return d.frames(v) })
+	d := newDecoder(body)
+	return wrap(d.Top(func() error { return d.frames(v) }))
 }
 
 // DecodeJournalAppend strictly decodes one JournalAppend body, like
@@ -120,22 +120,22 @@ func DecodeFrames(body []byte, v *FramesRequest) error {
 // v.Chunk (v zero on entry), so a follower can journal the bytes it was
 // sent. Otherwise chunk is nil.
 func DecodeJournalAppend(body []byte, v *JournalAppend) (chunk []byte, err error) {
-	d := decoder{data: body}
-	err = d.top(func() error {
+	d := newDecoder(body)
+	err = d.Top(func() error {
 		var start, end, seen int
-		err := d.object(journalAppendFields, func(f int) error {
+		err := d.Object(journalAppendFields, func(f int) error {
 			switch f {
 			case 0:
-				return d.str(&v.SchemaVersion)
+				return d.Str(&v.SchemaVersion)
 			case 1:
-				return d.int(&v.Seq)
+				return d.Int(&v.Seq)
 			case 2:
-				return d.sessionRequest(&v.Request)
+				return d.sessionRequest(body, &v.Request)
 			}
 			seen++
-			start = d.off
+			start = d.Offset()
 			err := d.frames(&v.Chunk)
-			end = d.off
+			end = d.Offset()
 			return err
 		})
 		if err == nil && seen == 1 && body[start] == '{' {
@@ -144,9 +144,17 @@ func DecodeJournalAppend(body []byte, v *JournalAppend) (chunk []byte, err error
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, wrap(err)
 	}
 	return chunk, nil
+}
+
+// wrap gives a scanner error the package's prefix.
+func wrap(err error) error {
+	if err != nil {
+		return fmt.Errorf("api: decode: %w", err)
+	}
+	return nil
 }
 
 // JournalAppendBody encodes a JournalAppend whose chunk is an accepted
@@ -180,462 +188,63 @@ var (
 	quatFields          = []string{"w", "x", "y", "z"}
 )
 
-// decoder walks one JSON body. off is the next unread byte; floats is
-// scratch reused across float arrays.
+// decoder is the strict scanner plus the frames schema's callbacks.
 type decoder struct {
-	data   []byte
-	off    int
-	floats []float64
+	jsonscan.Decoder
 }
 
-func (d *decoder) errorf(format string, a ...any) error {
-	return fmt.Errorf("api: decode: "+format+" at offset %d", append(a, d.off)...)
+func newDecoder(body []byte) *decoder {
+	d := &decoder{jsonscan.NewDecoder(body)}
+	d.DisallowUnknownFields()
+	return d
 }
 
-// unexpected reports the byte at off: io.ErrUnexpectedEOF past the end,
-// the bad character otherwise.
-func (d *decoder) unexpected(context string) error {
-	if d.off >= len(d.data) {
-		return fmt.Errorf("api: decode: %w", io.ErrUnexpectedEOF)
-	}
-	return d.errorf("invalid character %q %s", d.data[d.off], context)
-}
-
-func (d *decoder) peek() byte {
-	if d.off < len(d.data) {
-		return d.data[d.off]
-	}
-	return 0
-}
-
-func (d *decoder) ws() {
-	for d.off < len(d.data) {
-		switch d.data[d.off] {
-		case ' ', '\t', '\n', '\r':
-			d.off++
-		default:
-			return
-		}
-	}
-}
-
-// top decodes the body's one value with fn and rejects anything but
-// whitespace after it. An empty body is io.EOF, as from json.Decoder.
-func (d *decoder) top(fn func() error) error {
-	d.ws()
-	if d.off == len(d.data) {
-		return fmt.Errorf("api: decode: %w", io.EOF)
-	}
-	if err := fn(); err != nil {
-		return err
-	}
-	d.ws()
-	if d.off != len(d.data) {
-		return fmt.Errorf("api: decode: trailing data after JSON body")
-	}
-	return nil
-}
-
-// literal consumes the literal lit (null, true or false).
-func (d *decoder) literal(lit string) error {
-	if !bytes.HasPrefix(d.data[d.off:], []byte(lit)) {
-		return d.unexpected("in literal " + lit)
-	}
-	d.off += len(lit)
-	return nil
-}
-
-// object decodes an object of the given fields, calling set with d at
-// the value of each field by index. null leaves the target alone.
-func (d *decoder) object(fields []string, set func(field int) error) error {
-	switch d.peek() {
-	case 'n':
-		return d.literal("null")
-	case '{':
-	default:
-		return d.mismatch("object")
-	}
-	d.off++
-	d.ws()
-	if d.peek() == '}' {
-		d.off++
-		return nil
-	}
-	for {
-		if d.peek() != '"' {
-			return d.unexpected("looking for beginning of object key string")
-		}
-		f, err := d.field(fields)
-		if err != nil {
-			return err
-		}
-		d.ws()
-		if d.peek() != ':' {
-			return d.unexpected("after object key")
-		}
-		d.off++
-		d.ws()
-		if err := set(f); err != nil {
-			return err
-		}
-		d.ws()
-		switch d.peek() {
-		case ',':
-			d.off++
-			d.ws()
-		case '}':
-			d.off++
-			return nil
-		default:
-			return d.unexpected("after object key:value pair")
-		}
-	}
-}
-
-// field reads an object key and resolves it to an index into fields:
-// a case-folded match after unescaping, as encoding/json matches (the
-// names differ under folding, so an exact match is the only fold
-// match). An unknown key is an error.
-func (d *decoder) field(fields []string) (int, error) {
-	start := d.off
-	key, escaped, err := d.scanString()
-	if err != nil {
-		return 0, err
-	}
-	if escaped {
-		var s string
-		if err := json.Unmarshal(d.data[start:d.off], &s); err != nil {
-			return 0, fmt.Errorf("api: decode: %w", err)
-		}
-		key = []byte(s)
-	}
-	for i, name := range fields {
-		if strings.EqualFold(string(key), name) {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("api: decode: json: unknown field %q", key)
-}
-
-// scanString consumes a string at off, validating its escapes and
-// rejecting raw control characters. It returns the bytes between the
-// quotes and whether any escape occurred.
-func (d *decoder) scanString() (raw []byte, escaped bool, err error) {
-	b := d.data
-	i := d.off + 1
-	for i < len(b) {
-		switch c := b[i]; {
-		case c == '"':
-			raw = b[d.off+1 : i]
-			d.off = i + 1
-			return raw, escaped, nil
-		case c == '\\':
-			escaped = true
-			i++
-			switch {
-			case i < len(b) && strings.IndexByte(`"\/bfnrt`, b[i]) >= 0:
-				i++
-			case i < len(b) && b[i] == 'u':
-				for j := i + 1; j < i+5; j++ {
-					if j == len(b) || !isHex(b[j]) {
-						d.off = j
-						return nil, false, d.unexpected("in \\u hexadecimal character escape")
-					}
-				}
-				i += 5
-			default:
-				d.off = i
-				return nil, false, d.unexpected("in string escape code")
-			}
-		case c < 0x20:
-			d.off = i
-			return nil, false, d.unexpected("in string literal")
-		default:
-			i++
-		}
-	}
-	d.off = len(b)
-	return nil, false, d.unexpected("")
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-// mismatch reports a value that cannot decode into want: the wrong
-// JSON type, or no value at all.
-func (d *decoder) mismatch(want string) error {
-	return d.unexpected("looking for beginning of " + want + " value")
-}
-
-// number consumes a number literal, enforcing JSON's grammar: no
-// leading zeros, '+' or bare '.', and digits after '.' and the exponent.
-func (d *decoder) number() ([]byte, error) {
-	b := d.data
-	start, i := d.off, d.off
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
-	default:
-		d.off = i
-		return nil, d.unexpected("in numeric literal")
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if i == len(b) || b[i] < '0' || b[i] > '9' {
-			d.off = i
-			return nil, d.unexpected("after decimal point in numeric literal")
-		}
-		i = digits(b, i)
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i == len(b) || b[i] < '0' || b[i] > '9' {
-			d.off = i
-			return nil, d.unexpected("in exponent of numeric literal")
-		}
-		i = digits(b, i)
-	}
-	d.off = i
-	return b[start:i], nil
-}
-
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// float decodes a number into *f (null leaves it alone). Overflow such
-// as 1e400 is rejected, as ParseFloat reports it.
-func (d *decoder) float(f *float64) error {
-	switch c := d.peek(); {
-	case c == 'n':
-		return d.literal("null")
-	case c != '-' && (c < '0' || c > '9'):
-		return d.mismatch("float64")
-	}
-	lit, err := d.number()
-	if err != nil {
-		return err
-	}
-	x, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		return d.errorf("cannot unmarshal number %s into float64", lit)
-	}
-	*f = x
-	return nil
-}
-
-// int decodes an integer literal into *n (null leaves it alone): a
-// fraction, an exponent or overflow is rejected, as ParseInt reports it.
-func (d *decoder) int(n *int) error {
-	switch c := d.peek(); {
-	case c == 'n':
-		return d.literal("null")
-	case c != '-' && (c < '0' || c > '9'):
-		return d.mismatch("int")
-	}
-	lit, err := d.number()
-	if err != nil {
-		return err
-	}
-	x, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-	if err != nil {
-		return d.errorf("cannot unmarshal number %s into int", lit)
-	}
-	*n = int(x)
-	return nil
-}
-
-// bool decodes true or false into *b (null leaves it alone).
-func (d *decoder) bool(b *bool) error {
-	switch d.peek() {
-	case 'n':
-		return d.literal("null")
-	case 't':
-		*b = true
-		return d.literal("true")
-	case 'f':
-		*b = false
-		return d.literal("false")
-	}
-	return d.mismatch("bool")
-}
-
-// str decodes a string into *s (null leaves it alone). Escapes and
-// invalid UTF-8 go through encoding/json, which unescapes them and
-// replaces invalid bytes with U+FFFD.
-func (d *decoder) str(s *string) error {
-	switch d.peek() {
-	case 'n':
-		return d.literal("null")
-	case '"':
-	default:
-		return d.mismatch("string")
-	}
-	start := d.off
-	raw, escaped, err := d.scanString()
-	if err != nil {
-		return err
-	}
-	if !escaped && utf8.Valid(raw) {
-		*s = string(raw)
-		return nil
-	}
-	if err := json.Unmarshal(d.data[start:d.off], s); err != nil {
-		return fmt.Errorf("api: decode: %w", err)
-	}
-	return nil
-}
-
-// sessionRequest decodes the value at off through encoding/json's
-// strict path, on the bytes from off onwards; json.Decoder stops after
-// the one value and reports where.
-func (d *decoder) sessionRequest(v *SessionRequest) error {
-	dec := json.NewDecoder(bytes.NewReader(d.data[d.off:]))
+// sessionRequest decodes the value at the decoder's offset in body
+// through encoding/json's strict path, on the bytes from there onwards;
+// json.Decoder stops after the one value and reports where.
+func (d *decoder) sessionRequest(body []byte, v *SessionRequest) error {
+	dec := json.NewDecoder(bytes.NewReader(body[d.Offset():]))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("api: decode: request: %w", err)
+		return fmt.Errorf("request: %w", err)
 	}
-	d.off += int(dec.InputOffset())
-	return nil
-}
-
-// slice decodes an array into *s with encoding/json's semantics: null
-// sets nil, [] is non-nil and empty, and elements decode into what
-// *s already holds (a repeated key), growing like append.
-func slice[T any](d *decoder, s *[]T, elem func(*T) error) error {
-	switch d.peek() {
-	case 'n':
-		*s = nil
-		return d.literal("null")
-	case '[':
-	default:
-		return d.mismatch("array")
-	}
-	d.off++
-	d.ws()
-	v, i := *s, 0
-	done := d.peek() == ']'
-	if done {
-		d.off++
-	}
-	for !done {
-		if i == len(v) {
-			if i == cap(v) {
-				var zero T
-				v = append(v, zero)
-			} else {
-				v = v[:i+1]
-			}
-		}
-		if err := elem(&v[i]); err != nil {
-			return err
-		}
-		i++
-		var err error
-		if done, err = d.next(); err != nil {
-			return err
-		}
-	}
-	if i == 0 {
-		v = []T{}
-	}
-	*s = v[:i]
-	return nil
-}
-
-// next consumes the separator after an array element: done at ']'.
-func (d *decoder) next() (done bool, err error) {
-	d.ws()
-	switch d.peek() {
-	case ',':
-		d.off++
-		d.ws()
-		return false, nil
-	case ']':
-		d.off++
-		return true, nil
-	}
-	return false, d.unexpected("after array element")
-}
-
-// floatSlice decodes a number array. A fresh (nil) target is decoded
-// into the reused scratch and copied once into an exactly sized slice;
-// any other target takes slice's in-place path. A null element is 0 in
-// a fresh slice, as encoding/json's zeroed growth leaves it.
-func (d *decoder) floatSlice(s *[]float64) error {
-	if *s != nil || d.peek() != '[' {
-		return slice(d, s, d.float)
-	}
-	d.off++
-	d.ws()
-	if d.peek() == ']' {
-		d.off++
-		*s = []float64{}
-		return nil
-	}
-	buf := d.floats[:0]
-	for {
-		buf = append(buf, 0)
-		if err := d.float(&buf[len(buf)-1]); err != nil {
-			return err
-		}
-		if done, err := d.next(); done || err != nil {
-			if err != nil {
-				return err
-			}
-			break
-		}
-	}
-	d.floats = buf
-	*s = append([]float64(nil), buf...)
+	d.Advance(int(dec.InputOffset()))
 	return nil
 }
 
 func (d *decoder) frames(v *FramesRequest) error {
-	return d.object(framesFields, func(f int) error {
+	return d.Object(framesFields, func(f int) error {
 		switch f {
 		case 0:
-			return d.int(&v.Seq)
+			return d.Int(&v.Seq)
 		case 1:
-			return slice(d, &v.Audio, d.audioFrame)
+			return jsonscan.Slice(&d.Decoder, &v.Audio, d.audioFrame)
 		case 2:
-			return slice(d, &v.IMU, d.imuSample)
+			return jsonscan.Slice(&d.Decoder, &v.IMU, d.imuSample)
 		case 3:
-			return slice(d, &v.GPS, d.gpsSample)
+			return jsonscan.Slice(&d.Decoder, &v.GPS, d.gpsSample)
 		}
-		return d.bool(&v.Close)
+		return d.Bool(&v.Close)
 	})
 }
 
 func (d *decoder) audioFrame(v *AudioFrame) error {
-	return d.object(audioFrameFields, func(f int) error {
+	return d.Object(audioFrameFields, func(f int) error {
 		switch f {
 		case 0:
-			return d.float(&v.StartSeconds)
+			return d.Float(&v.StartSeconds)
 		case 1:
-			return d.float(&v.RateHz)
+			return d.Float(&v.RateHz)
 		}
-		return slice(d, &v.Samples, d.floatSlice)
+		return jsonscan.Slice(&d.Decoder, &v.Samples, d.FloatSlice)
 	})
 }
 
 func (d *decoder) imuSample(v *IMUSample) error {
-	return d.object(imuSampleFields, func(f int) error {
+	return d.Object(imuSampleFields, func(f int) error {
 		switch f {
 		case 0:
-			return d.float(&v.TimeSeconds)
+			return d.Float(&v.TimeSeconds)
 		case 1:
 			return d.vec3(&v.Accel)
 		case 2:
@@ -646,10 +255,10 @@ func (d *decoder) imuSample(v *IMUSample) error {
 }
 
 func (d *decoder) gpsSample(v *GPSSample) error {
-	return d.object(gpsSampleFields, func(f int) error {
+	return d.Object(gpsSampleFields, func(f int) error {
 		switch f {
 		case 0:
-			return d.float(&v.TimeSeconds)
+			return d.Float(&v.TimeSeconds)
 		case 1:
 			return d.vec3(&v.Pos)
 		}
@@ -658,13 +267,13 @@ func (d *decoder) gpsSample(v *GPSSample) error {
 }
 
 func (d *decoder) vec3(v *Vec3) error {
-	return d.object(vec3Fields, func(f int) error {
-		return d.float([...]*float64{&v.X, &v.Y, &v.Z}[f])
+	return d.Object(vec3Fields, func(f int) error {
+		return d.Float([...]*float64{&v.X, &v.Y, &v.Z}[f])
 	})
 }
 
 func (d *decoder) quat(v *Quat) error {
-	return d.object(quatFields, func(f int) error {
-		return d.float([...]*float64{&v.W, &v.X, &v.Y, &v.Z}[f])
+	return d.Object(quatFields, func(f int) error {
+		return d.Float([...]*float64{&v.W, &v.X, &v.Y, &v.Z}[f])
 	})
 }

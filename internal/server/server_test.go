@@ -479,6 +479,37 @@ func TestBatchPoolBackpressure(t *testing.T) {
 	errCode(t, <-firstDone, http.StatusUnprocessableEntity, api.CodeUnprocessable)
 }
 
+// TestBatchHugeDeclaredAudio uploads, over real HTTP to a one-slot
+// server, an .sbf body whose header declares 1<<62 audio samples over a
+// 20-byte payload. It must answer 422 and free the batch slot, so the
+// next upload is served; reserving the declared count used to panic
+// after the slot was taken, dropping the connection and leaking the slot.
+func TestBatchHugeDeclaredAudio(t *testing.T) {
+	s := newTestServer(t, Config{MaxJobs: 1})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	post := func(body []byte) *http.Response {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/v1/flights", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	huge := fmt.Sprintf("{\"audio_rate\":16000,\"audio_samples\":%d}\nSBAU%s", 1<<62, make([]byte, 20))
+	if resp := post([]byte(huge)); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("huge declared count: status %d, want 422", resp.StatusCode)
+	}
+	var buf bytes.Buffer
+	if err := getFixture(t).calib[0].Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if resp := post(buf.Bytes()); resp.StatusCode != http.StatusOK {
+		t.Errorf("next upload: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestIdleExpiry lets the janitor reap an abandoned session: the stream
 // closes on the idle timeout and the verdict becomes readable.
 func TestIdleExpiry(t *testing.T) {
